@@ -137,8 +137,15 @@ class Mapping:
 
     def spatial_factor(self, dim: str) -> int:
         """Spatial unrolling factor of a dimension (1 if not spatial)."""
-        for assignment in self._spatial_assignments():
-            if dim == assignment.dim:
+        # The mapping-space walk calls this millions of times: test the
+        # fields directly rather than building the assignment tuple.
+        for assignment in (
+            self.spatial_x,
+            self.spatial_y,
+            self.spatial_x2,
+            self.spatial_y2,
+        ):
+            if assignment is not None and dim == assignment.dim:
                 return assignment.factor
         return 1
 
@@ -156,7 +163,11 @@ class Mapping:
 
     def tile_extent(self, dim: str) -> int:
         """How much of ``dim`` one data tile (GLB tile) covers."""
-        return self.pass_extent(dim) * self.glb_temporal_factor(dim)
+        return (
+            self.spatial_factor(dim)
+            * self.pe_temporal_factor(dim)
+            * self.glb_temporal_factor(dim)
+        )
 
     def pass_extents(self) -> Dict[str, int]:
         """Pass extents for every loop dimension."""
@@ -251,10 +262,11 @@ class Mapping:
 
     def tile_bytes(self) -> int:
         """GLB-resident bytes of one tile (inputs + weights + outputs)."""
+        extents = self.tile_extents()
         words = (
-            self.tile_input_words()
-            + self.tile_weight_words()
-            + self.tile_output_words()
+            self._input_patch_words(extents)
+            + self._weight_words(extents)
+            + self._output_words(extents)
         )
         return words * WORD_BYTES
 
@@ -286,7 +298,8 @@ class Mapping:
     # ------------------------------------------------------------------
     def pe_extents(self) -> Dict[str, int]:
         """Extent of each dimension handled sequentially by one PE."""
-        return {dim: self.pe_temporal_factor(dim) for dim in LOOP_DIMS}
+        factors = self.pe_temporal
+        return {dim: int(factors.get(dim, 1)) for dim in LOOP_DIMS}
 
     def pe_weight_words(self) -> int:
         """Stationary weight words one PE must hold for a pass."""

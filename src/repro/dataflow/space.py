@@ -392,6 +392,19 @@ class SpaceStats:
         self.pruned += other.pruned
 
 
+#: Per-dimension (spatial, PE-temporal, GLB-temporal) factors of a skeleton.
+_Factors = Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]
+
+
+def _skeleton_factors(base: Mapping) -> _Factors:
+    """A skeleton's factors, read once instead of once per candidate."""
+    return (
+        {dim: base.spatial_factor(dim) for dim in LOOP_DIMS},
+        {dim: base.pe_temporal_factor(dim) for dim in LOOP_DIMS},
+        {dim: base.glb_temporal_factor(dim) for dim in LOOP_DIMS},
+    )
+
+
 class MappingSpace:
     """The full legal mapping space of one layer on one accelerator.
 
@@ -463,11 +476,12 @@ class MappingSpace:
         quotient_of = dict(quotients)
         pe: Dict[str, int] = {}
         glb: Dict[str, int] = {}
+        factors = _skeleton_factors(base)
 
         def legal() -> bool:
             return (
-                self._pe_words_fit(base, pe)
-                and self._tile_bytes(base, pe, glb) <= self._glb_limit
+                self._pe_words_fit(factors, pe)
+                and self._tile_bytes(factors, pe, glb) <= self._glb_limit
             )
 
         def emit() -> MappingPoint:
@@ -542,18 +556,15 @@ class MappingSpace:
     # ------------------------------------------------------------------
     # Cheap legality arithmetic (no Mapping construction per candidate)
     # ------------------------------------------------------------------
-    def _pe_words_fit(self, base: Mapping, pe: Dict[str, int]) -> bool:
+    def _pe_words_fit(self, factors: _Factors, pe: Dict[str, int]) -> bool:
         from repro.dataflow.layer import WORD_BYTES
 
         layer = self._layer
-
-        def pe_factor(dim: str) -> int:
-            return pe.get(dim, base.pe_temporal_factor(dim))
-
-        eff_r = max(1, layer.R // base.spatial_factor("R"))
-        eff_s = max(1, layer.S // base.spatial_factor("S"))
-        k, c = pe_factor("K"), pe_factor("C")
-        p, q = pe_factor("P"), pe_factor("Q")
+        spatial, base_pe, _ = factors
+        eff_r = max(1, layer.R // spatial["R"])
+        eff_s = max(1, layer.S // spatial["S"])
+        k, c = pe.get("K", base_pe["K"]), pe.get("C", base_pe["C"])
+        p, q = pe.get("P", base_pe["P"]), pe.get("Q", base_pe["Q"])
         if layer.kind is LayerKind.DEPTHWISE:
             weight_words = k * eff_r * eff_s
             channels = k
@@ -570,18 +581,18 @@ class MappingSpace:
         )
 
     def _tile_bytes(
-        self, base: Mapping, pe: Dict[str, int], glb: Dict[str, int]
+        self, factors: _Factors, pe: Dict[str, int], glb: Dict[str, int]
     ) -> int:
         from repro.dataflow.layer import WORD_BYTES
 
         layer = self._layer
-
-        def tile_extent(dim: str) -> int:
-            pe_factor = pe.get(dim, base.pe_temporal_factor(dim))
-            glb_factor = glb.get(dim, base.glb_temporal_factor(dim))
-            return base.spatial_factor(dim) * pe_factor * glb_factor
-
-        extents = {dim: tile_extent(dim) for dim in LOOP_DIMS}
+        spatial, base_pe, base_glb = factors
+        extents = {
+            dim: spatial[dim]
+            * pe.get(dim, base_pe[dim])
+            * glb.get(dim, base_glb[dim])
+            for dim in LOOP_DIMS
+        }
         stride = layer.stride
         rows = (extents["P"] - 1) * stride + layer.R
         cols = (extents["Q"] - 1) * stride + layer.S

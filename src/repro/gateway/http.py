@@ -43,10 +43,6 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 _HEARTBEAT_SECONDS = 15.0
 
 
-def _json_bytes(payload: Dict[str, Any]) -> bytes:
-    return json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-
-
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -209,7 +205,7 @@ class AsyncHTTPFrontend:
     async def _write_response(
         self, writer: asyncio.StreamWriter, response: ApiResponse
     ) -> None:
-        payload = b"" if response.status == 304 else _json_bytes(response.payload)
+        payload = response.body()
         head = [
             f"HTTP/1.1 {response.status} "
             f"{_REASONS.get(response.status, 'Unknown')}"

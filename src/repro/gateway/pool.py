@@ -310,8 +310,8 @@ class WorkerProcessPool:
         busy workers get up to ``drain_timeout`` seconds to finish
         before being terminated (their task reported as ``crash``).
         """
-        self._draining.set()
         with self._lock:
+            self._draining.set()
             pending, self._pending = self._pending, []
         for task in pending:
             self._on_event(PoolEvent(kind="cancelled", task_id=task.task_id))
@@ -350,13 +350,21 @@ class WorkerProcessPool:
     def submit(
         self, task_id: str, spec_id: str, params: Dict[str, Any], key: str
     ) -> None:
-        """Queue one task for execution (dispatched by the supervisor)."""
-        if self._draining.is_set() or self._stop.is_set():
-            raise ReproError("worker pool is shutting down")
+        """Queue one task and hand it to an idle ready worker, if any.
+
+        Once the pool is draining, the task is reported ``cancelled``
+        instead, like the pending tasks :meth:`shutdown` cancels; the
+        check and the append share the lock, so no task slips in behind
+        the drain.
+        """
         with self._lock:
-            self._pending.append(
-                _Task(task_id=task_id, spec_id=spec_id, params=params, key=key)
-            )
+            closed = self._draining.is_set() or self._stop.is_set()
+            if not closed:
+                self._pending.append(_Task(task_id, spec_id, params, key))
+        if closed:
+            self._on_event(PoolEvent(kind="cancelled", task_id=task_id))
+            return
+        self._dispatch()
 
     def pending_count(self) -> int:
         """Tasks accepted but not yet dispatched to a worker."""
@@ -395,6 +403,8 @@ class WorkerProcessPool:
     # -- supervision --------------------------------------------------------
 
     def _supervise(self) -> None:
+        # The timeout only paces the deadline and liveness checks: tasks
+        # are dispatched on submit and whenever an event frees a worker.
         while not self._stop.is_set():
             try:
                 event = self._event_queue.get(timeout=0.02)
@@ -403,15 +413,19 @@ class WorkerProcessPool:
             except (OSError, ValueError):
                 return  # queue closed during shutdown
             if event is not None:
-                try:
-                    self._handle_event(event)
-                except Exception:  # noqa: BLE001 - supervisor must survive
-                    pass
+                self._handle_event(event)
             self._check_deadlines()
             self._check_liveness()
-            self._dispatch()
 
     def _handle_event(self, event: Tuple[Any, ...]) -> None:
+        """Apply one worker event, then hand pending tasks to free workers."""
+        try:
+            self._apply_event(event)
+        except Exception:  # noqa: BLE001 - supervisor must survive
+            pass
+        self._dispatch()
+
+    def _apply_event(self, event: Tuple[Any, ...]) -> None:
         kind, worker_id = event[0], event[1]
         with self._lock:
             worker = self._worker_by_index(worker_id)
@@ -513,10 +527,14 @@ class WorkerProcessPool:
             self._replace_worker(worker)
             if task is None:
                 continue
-            if task.attempts < self._task_attempts and not (
-                self._draining.is_set()
-            ):
-                # The crash burned one attempt; requeue on another worker.
+            with self._lock:
+                retry = task.attempts < self._task_attempts and not (
+                    self._draining.is_set()
+                )
+                if retry:
+                    # The crash burned one attempt; requeue on another worker.
+                    self._pending.insert(0, task)
+            if retry:
                 self._on_event(
                     PoolEvent(
                         kind="retry",
@@ -524,8 +542,7 @@ class WorkerProcessPool:
                         attempts=task.attempts,
                     )
                 )
-                with self._lock:
-                    self._pending.insert(0, task)
+                self._dispatch()
             else:
                 self._on_event(
                     PoolEvent(
@@ -561,10 +578,10 @@ class WorkerProcessPool:
             self._on_restart()
 
     def _dispatch(self) -> None:
-        """Hand pending tasks to ready idle workers (supervisor only)."""
+        """Hand pending tasks to ready idle workers (any thread)."""
         while True:
             with self._lock:
-                if not self._pending:
+                if not self._pending or self._draining.is_set():
                     return
                 idle = next(
                     (

@@ -18,10 +18,10 @@ unexpected responds 500 with the exception type and message only.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
-
-import math
 
 from repro.errors import ConfigurationError, ReproError
 from repro.resilience import CircuitOpenError, PoisonedTaskError
@@ -50,6 +50,14 @@ class ApiResponse:
     status: int
     payload: Dict[str, Any]
     headers: Tuple[Tuple[str, str], ...] = field(default=())
+
+    def body(self) -> bytes:
+        """Sorted compact JSON (C encoder); a 304 has no body (RFC 9110)."""
+        if self.status == 304:
+            return b""
+        return json.dumps(
+            self.payload, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
 
 
 def _error(

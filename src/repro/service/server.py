@@ -148,15 +148,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         )
 
     def _write(self, response: ApiResponse) -> None:
-        # A 304 must not carry a body (RFC 9110); everything else is a
-        # JSON document.
-        payload = (
-            b""
-            if response.status == 304
-            else json.dumps(
-                response.payload, indent=2, sort_keys=True
-            ).encode("utf-8")
-        )
+        payload = response.body()
         self.send_response(response.status)
         if payload:
             self.send_header("Content-Type", "application/json")

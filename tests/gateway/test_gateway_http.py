@@ -25,6 +25,9 @@ import pytest
 
 from repro.experiments.registry import run_experiment
 from repro.gateway import GatewayConfig, GatewayService
+from repro.runtime import ResultCache
+from repro.service import RotaService, ServiceConfig
+from repro.service.api import ApiResponse
 
 #: Cheap parity sweep, same shape as the ``rota serve`` suite.
 PARITY_CASES = [
@@ -329,6 +332,23 @@ class TestParity:
         direct = run_experiment(spec_id, **kwargs).result.to_dict()
         assert detail["result"] == json.loads(json.dumps(direct))
         assert detail["manifest"]["spec_id"] == spec_id
+
+    def test_serve_and_gateway_send_identical_bytes(self, gateway, tmp_path):
+        serve = RotaService(
+            ServiceConfig(port=0, workers=1, queue_depth=2),
+            cache=ResultCache(directory=tmp_path, enabled=True),
+        )
+        serve.start()
+        try:
+            bodies = []
+            for service in (gateway, serve):
+                url = service.url + "/v1/experiments"
+                with urllib.request.urlopen(url, timeout=30) as response:
+                    bodies.append(response.read())
+        finally:
+            serve.shutdown()
+        assert bodies[0] == bodies[1]
+        assert bodies[0] == ApiResponse(200, json.loads(bodies[0])).body()
 
     def test_validation_error_shape_matches_serve(self, gateway):
         status, _, body = request(

@@ -1,5 +1,7 @@
 """Unit tests for the transport-independent service API layer."""
 
+import json
+import math
 import time
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.experiments.registry import spec_ids
 from repro.runtime import ResultCache
 from repro.service import JobManager, ServiceAPI
+from repro.service.api import ApiResponse
 
 
 def wait_state(manager, job_id, timeout=60.0):
@@ -246,3 +249,53 @@ class TestRunEndpoints:
         # Even a nonsense params type becomes a structured response.
         response = api.handle("POST", "/v1/experiments/unfold/runs", "not-a-dict")
         assert response.status == 400
+
+
+def _canonical(raw):
+    """Re-encode parsed JSON so NaN compares equal to NaN."""
+    return json.dumps(json.loads(raw), sort_keys=True)
+
+
+def _assert_keys_sorted(raw):
+    def check(pairs):
+        keys = [key for key, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    json.loads(raw, object_pairs_hook=check)
+
+
+class TestResponseBody:
+    """The one wire encoding both ``rota serve`` and ``rota gateway`` send."""
+
+    # Fig. 7's R_diff is inf while the minimum usage is 0, so infinite
+    # and NaN floats do reach real response bodies.
+    PAYLOAD = {
+        "zeta": {"r_diff": math.inf, "floor": -math.inf, "ratio": math.nan},
+        "label": "Wärme – 摩耗 ✓",
+        "alpha": [1, 2.5, {"y": None, "b": True}],
+        "nested": {"outer": {"z": 1, "a": {"m": "n", "c": []}}},
+    }
+
+    def test_matches_the_indented_encoding_once_parsed(self):
+        body = ApiResponse(200, self.PAYLOAD).body()
+        legacy = json.dumps(self.PAYLOAD, indent=2, sort_keys=True)
+        assert _canonical(body) == _canonical(legacy)
+        parsed = json.loads(body)
+        assert parsed["zeta"]["r_diff"] == math.inf
+        assert parsed["zeta"]["floor"] == -math.inf
+        assert math.isnan(parsed["zeta"]["ratio"])
+        assert parsed["label"] == self.PAYLOAD["label"]
+
+    def test_is_compact_with_sorted_keys_and_standard_spellings(self):
+        body = ApiResponse(200, self.PAYLOAD).body()
+        _assert_keys_sorted(body)
+        assert b"\n" not in body and b": " not in body
+        assert b'"r_diff":Infinity' in body
+        assert b'"floor":-Infinity' in body
+        assert b'"ratio":NaN' in body
+        body.decode("ascii")  # non-ASCII text is escaped, as before
+
+    def test_not_modified_has_no_body(self):
+        assert ApiResponse(304, {"ignored": 1}).body() == b""
+
