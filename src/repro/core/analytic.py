@@ -17,9 +17,10 @@ to
 This module holds the pure numpy machinery of that fold — per-iteration
 aggregates, cycle prefix tables, vectorized per-iteration trace extrema
 (counts within the cycle are affine in the cycle index, so a whole
-block of trace points is two reductions over a broadcast matrix), and
-the budget-guarded jump bound that keeps the fold exact in the presence
-of wear-out deaths. The engine (:mod:`repro.core.engine`) owns the
+block of trace points is two reductions over a broadcast matrix),
+per-iteration usage snapshots (Fig. 7, read off the same prefix table
+as ``base + q x C + prefix[r]``), and the budget-guarded jump bound
+that keeps the fold exact in the presence of wear-out deaths. The engine (:mod:`repro.core.engine`) owns the
 orbit detection and memo plumbing.
 """
 

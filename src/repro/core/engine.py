@@ -516,11 +516,12 @@ class WearLevelingEngine:
             ``"analytic"`` fast path detects the carried-state orbit and
             folds whole periods into batched count additions — bit
             identical results (property-tested) at a fraction of the
-            cost. Requests that the fold cannot serve exactly
-            (closed-loop policies, snapshot recording, layer-granular
-            traces, traced runs under endurance budgets) fall back to
-            the iterative path automatically; :attr:`last_run_mode`
-            reports which path actually ran.
+            cost. Per-iteration snapshots are served by the fold too
+            (read off the cycle prefix table). Requests that the fold
+            cannot serve exactly (closed-loop policies, layer-granular
+            traces, traced or snapshot-recording runs under endurance
+            budgets) fall back to the iterative path automatically;
+            :attr:`last_run_mode` reports which path actually ran.
         """
         if iterations < 1:
             raise SimulationError(f"iterations must be >= 1, got {iterations}")
@@ -553,7 +554,9 @@ class WearLevelingEngine:
                 return self._run_analytic_budgeted(
                     streams, iterations, stop_after_deaths
                 )
-            return self._run_analytic(streams, iterations, record_trace)
+            return self._run_analytic(
+                streams, iterations, record_trace, record_snapshots
+            )
         self._last_run_mode = "iterative"
         return self._run_iterative(
             streams,
@@ -613,19 +616,18 @@ class WearLevelingEngine:
         """Whether the orbit fold can serve this request exactly.
 
         Closed-loop policies make placement depend on the live ledger
-        (no finite state orbit); snapshots and layer-granular traces
-        need per-iteration intermediate arrays the fold never
-        materializes; endurance budgets with tracing would need exact
-        per-iteration metrics across death boundaries — all of these
-        fall back to the iterative path.
+        (no finite state orbit); layer-granular traces need intra-
+        iteration arrays the fold never materializes; endurance budgets
+        with tracing or snapshots would need exact per-iteration
+        metrics across death boundaries — all of these fall back to the
+        iterative path. Per-iteration snapshots of budget-free runs are
+        served by the fold (tail replay plus cycle prefix table).
         """
         if getattr(self._policy, "needs_feedback", False):
             return False
-        if record_snapshots:
-            return False
         if trace_granularity != "iteration":
             return False
-        if self._budgets is not None and record_trace:
+        if self._budgets is not None and (record_trace or record_snapshots):
             return False
         return True
 
@@ -666,6 +668,7 @@ class WearLevelingEngine:
         streams: Sequence[TileStream],
         iterations: int,
         record_trace: bool,
+        record_snapshots: bool,
     ) -> RunResult:
         """Fold the carried-state orbit: tail + whole periods + remainder.
 
@@ -676,7 +679,8 @@ class WearLevelingEngine:
         fold into ``q x (cycle delta) + prefix(remainder)`` — two array
         additions — and the remainder trace (when requested) comes from
         the vectorized affine extrema of
-        :func:`repro.core.analytic.cycle_trace_extrema`.
+        :func:`repro.core.analytic.cycle_trace_extrema`. Snapshots of
+        the remainder are ``base + (m // L) x C + prefix[m % L]``.
         """
         per_iter_nominal = sum(stream.num_tiles for stream in streams)
         shapes = [
@@ -692,6 +696,9 @@ class WearLevelingEngine:
             state = record.exit_state
 
         trace: Optional[List[TracePoint]] = [] if record_trace else None
+        snapshots: Optional[List[np.ndarray]] = (
+            [] if record_snapshots else None
+        )
         for index, entry in enumerate(order, start=1):
             record = table[entry]
             self._iteration = index
@@ -703,6 +710,8 @@ class WearLevelingEngine:
             self._executed_slots += record.slots
             if trace is not None:
                 trace.append(self._trace_point(index))
+            if snapshots is not None:
+                snapshots.append(self._tracker.snapshot())
 
         executed = len(order)
         remaining = iterations - executed
@@ -730,6 +739,15 @@ class WearLevelingEngine:
                             int(minima[m - 1]),
                         )
                     )
+            if snapshots is not None:
+                base = self._tracker.snapshot()
+                for m in range(1, remaining + 1):
+                    whole, part = divmod(m, cycle_table.length)
+                    snapshots.append(
+                        base
+                        + whole * cycle_table.total
+                        + cycle_table.prefix[part]
+                    )
             delta, tiles, slots = fold_cycles(cycle_table, remaining)
             self._tracker.add_delta(delta, tiles)
             self._executed_slots += slots
@@ -737,7 +755,7 @@ class WearLevelingEngine:
             self._state = order[start + (remaining % cycle_table.length)]
             executed = iterations
             self._iteration = iterations
-        return self._result(executed, trace, None)
+        return self._result(executed, trace, snapshots)
 
     def _run_analytic_budgeted(
         self,

@@ -145,9 +145,10 @@ def _policy_task(spec: Tuple) -> RunResult:
     policy = make_policy(policy_name, trigger)
     target = accelerator.as_torus() if policy.requires_torus else accelerator.as_mesh()
     engine = WearLevelingEngine(target, policy)
-    # The analytic orbit fold is bit-identical to the iterative walk and
+    # The analytic orbit fold is bit-identical to the iterative walk,
+    # serves Fig. 7's per-iteration snapshots from its prefix table, and
     # falls back automatically for requests it cannot serve exactly
-    # (e.g. snapshot recording for Fig. 7).
+    # (e.g. closed-loop policies).
     return engine.run(
         streams,
         iterations=iterations,

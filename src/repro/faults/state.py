@@ -71,6 +71,9 @@ class FaultState:
     def __init__(self, array: PEArray, dead: Iterable[Coord] = ()) -> None:
         self._array = array
         self._mask = np.zeros(array.shape, dtype=bool)
+        # Dead-PE count kept alongside the mask so the fleet's per-event
+        # reads (dispatch, admission, service time) never reduce it.
+        self._num_dead = 0
         self._version = 0
         for coord in dead:
             self.kill(*coord)
@@ -103,7 +106,7 @@ class FaultState:
     @property
     def num_dead(self) -> int:
         """How many PEs have failed."""
-        return int(self._mask.sum())
+        return self._num_dead
 
     @property
     def num_alive(self) -> int:
@@ -118,7 +121,7 @@ class FaultState:
     @property
     def any_dead(self) -> bool:
         """Whether at least one PE has failed."""
-        return bool(self._mask.any())
+        return self._num_dead > 0
 
     @property
     def version(self) -> int:
@@ -148,6 +151,7 @@ class FaultState:
         was_alive = not self._mask[v, u]
         if was_alive:
             self._mask[v, u] = True
+            self._num_dead += 1
             self._version += 1
         return was_alive
 
@@ -156,11 +160,13 @@ class FaultState:
         if self.any_dead:
             self._version += 1
         self._mask.fill(False)
+        self._num_dead = 0
 
     def copy(self) -> "FaultState":
         """An independent copy of this state."""
         clone = FaultState(self._array)
         clone._mask = self._mask.copy()
+        clone._num_dead = self._num_dead
         clone._version = self._version
         return clone
 

@@ -269,6 +269,10 @@ class FleetDevice:
             accuracy_model = make_accuracy_model("pruning")
         self._accuracy_model = accuracy_model
         self._accuracy_profiles = accuracy_profiles
+        # ``predicted_loss`` per workload, valid for one fault version:
+        # every kill or revive bumps the version, so it cannot go stale.
+        self._loss_version = -1
+        self._loss_memo: Dict[str, float] = {}
         self._ledger = np.zeros(array.shape, dtype=np.int64)
         # Lazy wear application: completed requests park their profile
         # here (keyed by profile identity, with a repeat count) until a
@@ -411,6 +415,16 @@ class FleetDevice:
         """
         if not self.alive:
             return float("inf")
+        if self._loss_version != self._faults.version:
+            self._loss_version = self._faults.version
+            self._loss_memo.clear()
+        loss = self._loss_memo.get(workload)
+        if loss is None:
+            loss = self._loss_memo[workload] = self._degraded_loss(workload)
+        return loss
+
+    def _degraded_loss(self, workload: str) -> float:
+        """The uncached :meth:`predicted_loss` of a device in service."""
         if not self.degraded:
             return 0.0
         if self._accuracy_profiles is not None:

@@ -56,7 +56,14 @@ def assert_equivalent(iterative, analytic):
     assert iterative.death_events == analytic.death_events
     assert iterative.dead_pes == analytic.dead_pes
     assert iterative.degradation == analytic.degradation
-    assert iterative.snapshots == analytic.snapshots
+    if iterative.snapshots is None:
+        assert analytic.snapshots is None
+        return
+    assert analytic.snapshots is not None
+    assert len(iterative.snapshots) == len(analytic.snapshots)
+    for expected, actual in zip(iterative.snapshots, analytic.snapshots):
+        assert expected.dtype == actual.dtype
+        assert np.array_equal(expected, actual)
 
 
 class TestFaultFreeEquivalence:
@@ -71,6 +78,7 @@ class TestFaultFreeEquivalence:
         policy_name = draw(st.sampled_from(["baseline", "rwl", "rwl+ro"]))
         iterations = draw(st.integers(1, 60))
         record_trace = draw(st.booleans())
+        record_snapshots = draw(st.booleans())
         cycle_weighted = draw(st.booleans())
 
         reference = WearLevelingEngine(
@@ -80,12 +88,16 @@ class TestFaultFreeEquivalence:
             accelerator, make_policy(policy_name), cycle_weighted=cycle_weighted
         )
         expected = reference.run(
-            streams, iterations=iterations, record_trace=record_trace
+            streams,
+            iterations=iterations,
+            record_trace=record_trace,
+            record_snapshots=record_snapshots,
         )
         actual = fast.run(
             streams,
             iterations=iterations,
             record_trace=record_trace,
+            record_snapshots=record_snapshots,
             mode="analytic",
         )
         assert reference.last_run_mode == "iterative"
@@ -107,6 +119,7 @@ class TestFaultFreeEquivalence:
         streams = random_streams(draw, w - 1, h - 1, max_layers=3)
         policy_name = draw(st.sampled_from(["baseline", "rwl", "rwl+ro"]))
         iterations = draw(st.integers(1, 30))
+        record_snapshots = draw(st.booleans())
         num_dead = draw(st.integers(1, 3))
         coords = draw(
             st.lists(
@@ -125,11 +138,58 @@ class TestFaultFreeEquivalence:
             )
 
         reference, fast = engine(), engine()
-        expected = reference.run(streams, iterations=iterations)
-        actual = fast.run(streams, iterations=iterations, mode="analytic")
+        expected = reference.run(
+            streams, iterations=iterations, record_snapshots=record_snapshots
+        )
+        actual = fast.run(
+            streams,
+            iterations=iterations,
+            record_snapshots=record_snapshots,
+            mode="analytic",
+        )
         assert fast.last_run_mode == "analytic"
         assert_equivalent(expected, actual)
         assert set(reference._fault_batch_memo) == set(fast._fault_batch_memo)
+
+    @pytest.mark.parametrize("policy_name", ["baseline", "rwl", "rwl+ro"])
+    def test_snapshots_across_tail_closure_and_periods(self, policy_name):
+        """Snapshots stay exact whether a run ends inside the explicitly
+        replayed prefix, right at orbit closure, or several whole periods
+        plus a remainder past it."""
+        accelerator = torus(6, 4)
+        streams = [
+            make_stream(name="a", x=5, y=4, z=6),
+            make_stream(name="b", x=2, y=3, z=5, tile_cycles=3),
+        ]
+        walker = WearLevelingEngine(accelerator, make_policy(policy_name))
+        seen = {}
+        while walker.state not in seen:
+            seen[walker.state] = len(seen)
+            walker.run(streams, iterations=1, record_trace=False)
+        distinct = len(seen)
+        period = distinct - seen[walker.state]
+        counts = {
+            1,
+            max(1, distinct - 1),
+            distinct,
+            distinct + 1,
+            distinct + 3 * period + period // 2,
+        }
+        for iterations in sorted(counts):
+            reference = WearLevelingEngine(accelerator, make_policy(policy_name))
+            fast = WearLevelingEngine(accelerator, make_policy(policy_name))
+            expected = reference.run(
+                streams, iterations=iterations, record_snapshots=True
+            )
+            actual = fast.run(
+                streams,
+                iterations=iterations,
+                record_snapshots=True,
+                mode="analytic",
+            )
+            assert fast.last_run_mode == "analytic"
+            assert len(actual.snapshots) == iterations
+            assert_equivalent(expected, actual)
 
     def test_carried_state_across_sequential_runs(self, small_torus):
         """A second run starts mid-orbit; the fold must honor it."""
@@ -201,10 +261,27 @@ class TestBudgetedEquivalence:
 
 
 class TestFallback:
-    def test_snapshots_fall_back(self, small_torus):
+    def test_snapshots_take_fast_path(self, small_torus):
         engine = WearLevelingEngine(small_torus, make_policy("rwl+ro"))
         result = engine.run(
             [make_stream()], iterations=3, record_snapshots=True, mode="analytic"
+        )
+        assert engine.last_run_mode == "analytic"
+        assert len(result.snapshots) == 3
+
+    def test_snapshots_with_budgets_fall_back(self, small_torus):
+        h, w = small_torus.array.shape
+        engine = WearLevelingEngine(
+            small_torus,
+            make_policy("rwl+ro"),
+            budgets=EnduranceBudgets(budgets=np.full((h, w), 1e9)),
+        )
+        result = engine.run(
+            [make_stream()],
+            iterations=3,
+            record_trace=False,
+            record_snapshots=True,
+            mode="analytic",
         )
         assert engine.last_run_mode == "iterative"
         assert len(result.snapshots) == 3

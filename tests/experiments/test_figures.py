@@ -7,6 +7,7 @@ scale; the full-scale runs live in ``benchmarks/``.
 import numpy as np
 import pytest
 
+from repro.core.engine import WearLevelingEngine
 from repro.experiments.fig2 import run_fig2a, run_fig2b
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig5 import run_fig5
@@ -16,6 +17,7 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.fig10 import run_fig10
 from repro.experiments.overhead import run_overhead
+from repro.experiments.registry import run_experiment
 from repro.experiments.table2 import run_table2
 
 
@@ -127,6 +129,17 @@ class TestFig7:
     def test_final_state_near_perfect(self, result):
         assert result.projection.final_lifetime > 0.99
         assert result.projection.final_r_diff < 0.05
+
+    def test_served_by_the_orbit_fold(self, monkeypatch):
+        """Fig. 7's snapshots come from the analytic fold; a silent drop
+        back to the per-layer iterative walk fails here."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fig. 7 fell back to the iterative walk")
+
+        monkeypatch.setattr(WearLevelingEngine, "_run_iterative", refuse)
+        run = run_experiment("projection", network="ViT", iterations=20)
+        assert len(run.result.projection.iterations) == 20
 
 
 class TestFig8:

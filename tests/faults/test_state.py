@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.arch.array import PEArray
+from repro.arch.topology import Topology
 from repro.errors import ConfigurationError
 from repro.faults.state import DeathEvent, DegradationStats, FaultState
 
@@ -69,6 +72,62 @@ class TestFaultState:
             state.is_dead(0, 4)
         with pytest.raises(ConfigurationError):
             FaultState.from_coords(small_torus.array, [(-1, 0)])
+
+
+_ARRAY = PEArray(width=4, height=3, topology=Topology.TORUS)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("kill"),
+            st.integers(0, _ARRAY.width - 1),
+            st.integers(0, _ARRAY.height - 1),
+        ),
+        st.tuples(st.just("revive_all")),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=40,
+)
+
+
+class TestCountedReads:
+    """The kept dead count always agrees with the mask it summarizes."""
+
+    @staticmethod
+    def assert_consistent(state, dead, version):
+        mask = state.dead_mask
+        assert state.num_dead == int(mask.sum()) == len(dead)
+        assert state.any_dead == bool(mask.any())
+        assert state.num_alive == _ARRAY.num_pes - len(dead)
+        assert state.alive_fraction == state.num_alive / _ARRAY.num_pes
+        assert set(state.dead_coords()) == dead
+        assert state.version == version
+
+    @given(ops=_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_counts_track_the_mask(self, ops):
+        state = FaultState.none(_ARRAY)
+        dead, version = set(), 0
+        # Every state left behind by ``copy`` with its expected contents:
+        # later mutations of the clone must not reach it.
+        originals = []
+        for op in ops:
+            if op[0] == "kill":
+                _, u, v = op
+                assert state.kill(u, v) == ((u, v) not in dead)
+                if (u, v) not in dead:
+                    dead.add((u, v))
+                    version += 1
+            elif op[0] == "revive_all":
+                state.revive_all()
+                if dead:
+                    dead.clear()
+                    version += 1
+            else:
+                originals.append((state, set(dead), version))
+                state = state.copy()
+            self.assert_consistent(state, dead, version)
+        for original, original_dead, original_version in originals:
+            self.assert_consistent(original, original_dead, original_version)
 
 
 class TestDeathEvent:

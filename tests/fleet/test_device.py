@@ -160,3 +160,25 @@ class TestServiceModel:
         device.complete(time_s=1.0)
         num_pes = small_torus.array.num_pes
         assert device.slowdown == pytest.approx(num_pes / (num_pes - 1))
+
+
+class TestPredictedLoss:
+    def test_changes_once_a_kill_crosses_the_alive_floor(self, small_torus):
+        """The memoized loss follows the fault version: a request whose
+        wear kills PEs past ``min_alive_fraction`` moves the prediction."""
+        budgets = np.full(small_torus.array.shape, 1e9)
+        budgets.flat[:11] = 1.0  # 11 of 20 PEs die on the first request
+        device = FleetDevice(
+            0, small_torus, budgets=EnduranceBudgets(budgets),
+            mode="serve-degraded-approx", min_alive_fraction=0.5,
+        )
+        assert device.predicted_loss("toy") == 0.0
+        device.enqueue(request(0), profile_for(small_torus))
+        _, deaths, _ = device.complete(time_s=1.0)
+        assert len(deaths) == 11
+        assert device.degraded
+        assert device.predicted_loss("toy") > 0.0
+        # Further deaths past the floor raise it again.
+        worse = device.predicted_loss("toy")
+        device.faults.kill(4, 3)
+        assert device.predicted_loss("toy") > worse
