@@ -23,7 +23,8 @@ not a synthetic abstraction of them.
 
 from __future__ import annotations
 
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -62,6 +63,8 @@ class WorkloadProfile:
     ``counts`` is the per-PE usage increment of a single inference (one
     engine iteration under the device's intra-array wear-leveling
     policy); ``cycles`` its service latency from the cycle model.
+    ``counts`` is a read-only private copy: profiles are memoized and
+    shared across simulations, so none of them may mutate it.
     """
 
     workload: str
@@ -69,7 +72,7 @@ class WorkloadProfile:
     cycles: int
 
     def __post_init__(self) -> None:
-        array = np.asarray(self.counts, dtype=np.int64)
+        array = np.array(self.counts, dtype=np.int64)
         if array.ndim != 2:
             raise ConfigurationError(
                 f"profile counts must be 2-D, got shape {array.shape}"
@@ -78,7 +81,14 @@ class WorkloadProfile:
             raise ConfigurationError(
                 f"profile cycles must be positive, got {self.cycles}"
             )
+        array.setflags(write=False)
         object.__setattr__(self, "counts", array)
+
+    def __setstate__(self, state) -> None:
+        # Unpickling (result cache, pool workers) skips __post_init__
+        # and yields a writable array; re-freeze it.
+        self.__dict__.update(state)
+        self.counts.setflags(write=False)
 
     @property
     def wear_units(self) -> float:
@@ -101,6 +111,14 @@ class WorkloadProfile:
             cached = int(self.counts.max())
             object.__setattr__(self, "_peak_count", cached)
         return cached
+
+
+#: Per-process profile memo keyed by :func:`_profile_key`, LRU-bounded
+#: by the execution-cache cap: a fleet study asks for the same few
+#: workloads on every request, and a result-cache miss (or the cache
+#: being off) would otherwise re-run one engine iteration per workload.
+_PROFILE_MEMO: "OrderedDict[str, WorkloadProfile]" = OrderedDict()
+_PROFILE_MEMO_LOCK = threading.Lock()
 
 
 def _profile_key(
@@ -153,20 +171,48 @@ def build_profile(
     ``search="beam", objective="energy-wear"`` and gets different
     per-PE counts than the greedy energy-optimal mapping.
 
-    Memoized twice over: the persistent
-    :class:`~repro.runtime.cache.ResultCache` (content-keyed on
-    workload + accelerator + policy + options) lets separate
-    processes — fleet Monte Carlo workers in particular — skip both the
-    scheduler and the engine, and the shared per-process execution cache
-    (:func:`repro.experiments.common.execution_for`) de-duplicates
-    scheduling within a process on a cache miss.
+    Memoized three times over: a per-process memo (bounded by the
+    execution-cache cap) returns a profile this process already built;
+    the persistent :class:`~repro.runtime.cache.ResultCache`
+    (content-keyed on workload + accelerator + policy + options) lets
+    separate processes — fleet Monte Carlo workers in particular — skip
+    both the scheduler and the engine; and the shared per-process
+    execution cache (:func:`repro.experiments.common.execution_for`)
+    de-duplicates scheduling within a process on a cache miss.
     """
-    from repro.experiments.common import execution_for, paper_accelerator
-    from repro.runtime import result_cache
+    from repro.experiments.common import _execution_cache_cap, paper_accelerator
 
     accelerator = accelerator or paper_accelerator()
-    store = result_cache()
     key = _profile_key(workload, accelerator, policy_name, options)
+    with _PROFILE_MEMO_LOCK:
+        memo = _PROFILE_MEMO.get(key)
+        if memo is not None:
+            _PROFILE_MEMO.move_to_end(key)
+            return memo
+    profile = _load_or_build_profile(
+        key, workload, accelerator, policy_name, options
+    )
+    cap = _execution_cache_cap()
+    if cap > 0:
+        with _PROFILE_MEMO_LOCK:
+            _PROFILE_MEMO[key] = profile
+            while len(_PROFILE_MEMO) > cap:
+                _PROFILE_MEMO.popitem(last=False)
+    return profile
+
+
+def _load_or_build_profile(
+    key: str,
+    workload: str,
+    accelerator: Accelerator,
+    policy_name: str,
+    options,
+) -> WorkloadProfile:
+    """A profile from the persistent result cache, built on a miss."""
+    from repro.experiments.common import execution_for
+    from repro.runtime import result_cache
+
+    store = result_cache()
     hit = store.get(key)
     if isinstance(hit, WorkloadProfile):
         return hit
@@ -260,19 +306,31 @@ class FleetDevice:
             )
         self.device_id = device_id
         self._array = array
+        self._num_pes = array.num_pes
         self._budgets = budgets
         self._queue_limit = queue_limit
         self._clock_hz = clock_mhz * 1e6
         self._min_alive_fraction = min_alive_fraction
         self.mode = mode
+        self._retire_mode = mode == "retire"
         if mode == "serve-degraded-approx" and accuracy_model is None:
             accuracy_model = make_accuracy_model("pruning")
         self._accuracy_model = accuracy_model
         self._accuracy_profiles = accuracy_profiles
-        # ``predicted_loss`` per workload, valid for one fault version:
-        # every kill or revive bumps the version, so it cannot go stale.
+        # Per-event reads are memoized on what they depend on. Fault
+        # versions: every kill or revive bumps ``faults.version``, so
+        # ``predicted_loss`` per workload, the service-time factor and
+        # the retirement test cannot go stale (retirement also resets
+        # the service factor, which depends on being alive). ``served``:
+        # the ledger only changes when a request completes, so
+        # ``peak_wear`` is keyed on the completion count.
         self._loss_version = -1
         self._loss_memo: Dict[str, float] = {}
+        self._service_version = -1
+        self._service_factor = 1.0
+        self._retire_version = -1
+        self._peak_wear_served = -1
+        self._peak_wear = 0.0
         self._ledger = np.zeros(array.shape, dtype=np.int64)
         # Lazy wear application: completed requests park their profile
         # here (keyed by profile identity, with a repeat count) until a
@@ -299,6 +357,11 @@ class FleetDevice:
         self.death_time_s: Optional[float] = None
         #: Accuracy loss of the most recently completed request.
         self.last_loss = 0.0
+        #: Alive with queue headroom. A plain attribute, kept current
+        #: where either input changes (``enqueue``, ``start_next`` and
+        #: retirement in ``complete``): dispatch reads it for every
+        #: device on every arrival.
+        self.can_accept = True
 
     # ------------------------------------------------------------------
     # Dispatch-facing views
@@ -323,11 +386,6 @@ class FleetDevice:
         )
 
     @property
-    def can_accept(self) -> bool:
-        """Alive with queue headroom."""
-        return self.alive and len(self._queue) < self._queue_limit
-
-    @property
     def outstanding(self) -> int:
         """Requests queued plus in service."""
         return len(self._queue) + (1 if self._in_service else 0)
@@ -340,11 +398,16 @@ class FleetDevice:
     @property
     def peak_wear(self) -> float:
         """The hottest PE's wear; budget-normalized when budgets exist."""
-        self._flush_pending()
-        peak = float(self._ledger.max())
-        if self._budgets is None:
-            return peak
-        return float((self._ledger / self._budgets.budgets).max())
+        if self._peak_wear_served != self.served:
+            self._flush_pending()
+            if self._budgets is None:
+                self._peak_wear = float(self._ledger.max())
+            else:
+                self._peak_wear = float(
+                    (self._ledger / self._budgets.budgets).max()
+                )
+            self._peak_wear_served = self.served
+        return self._peak_wear
 
     # ------------------------------------------------------------------
     # Wear state
@@ -392,7 +455,7 @@ class FleetDevice:
         alive = self._faults.num_alive
         if alive <= 0:
             return float("inf")
-        return self._array.num_pes / alive
+        return self._num_pes / alive
 
     def service_seconds(self, profile: WorkloadProfile) -> float:
         """Wall-clock service time of one request on this device, now.
@@ -401,9 +464,13 @@ class FleetDevice:
         PEs' work is approximated away (that is where the accuracy loss
         comes from), not redistributed over the survivors.
         """
-        if self.degraded:
-            return profile.cycles / self._clock_hz
-        return profile.cycles / self._clock_hz * self.slowdown
+        version = self._faults.version
+        if self._service_version != version:
+            self._service_version = version
+            # ``x * 1.0 == x`` exactly, so the degraded factor keeps the
+            # healthy-rate time bit-identical to ``cycles / clock_hz``.
+            self._service_factor = 1.0 if self.degraded else self.slowdown
+        return profile.cycles / self._clock_hz * self._service_factor
 
     def predicted_loss(self, workload: str) -> float:
         """Model-predicted accuracy loss of serving ``workload`` now.
@@ -413,8 +480,10 @@ class FleetDevice:
         SLO-aware dispatch compares this directly against a request's
         ``max_loss`` budget.
         """
-        if not self.alive:
+        if self.death_time_s is not None:
             return float("inf")
+        if self._retire_mode:
+            return 0.0
         if self._loss_version != self._faults.version:
             self._loss_version = self._faults.version
             self._loss_memo.clear()
@@ -455,6 +524,7 @@ class FleetDevice:
             self._in_service = (request, profile, loss)
             return True
         self._queue.append((request, profile, loss))
+        self.can_accept = len(self._queue) < self._queue_limit
         return False
 
     def _flush_pending(self) -> None:
@@ -501,9 +571,10 @@ class FleetDevice:
         possible — so deaths happen at the same request, time, and
         coordinates as with eager application).
         """
-        if self._in_service is None:
+        in_service = self._in_service
+        if in_service is None:
             raise SimulationError(f"device {self.device_id} is idle")
-        request, profile, loss = self._in_service
+        request, profile, loss = in_service
         self._in_service = None
         self.served += 1
         self.last_loss = loss
@@ -533,17 +604,24 @@ class FleetDevice:
                             )
                         )
         dropped: List[Request] = []
-        if self.mode == "serve-degraded-approx":
-            retired = self.alive and self._faults.num_alive == 0
-        else:
-            retired = (
-                self.alive
-                and self._faults.alive_fraction < self._min_alive_fraction
-            )
-        if retired:
-            self.death_time_s = time_s
-            dropped = [queued for queued, _, _ in self._queue]
-            self._queue.clear()
+        # Retirement depends only on the fault set (the mode and the
+        # threshold are fixed), so it is re-tested only after a change.
+        faults = self._faults
+        if self._retire_version != faults.version:
+            self._retire_version = faults.version
+            if self._retire_mode:
+                retired = (
+                    self.alive
+                    and faults.alive_fraction < self._min_alive_fraction
+                )
+            else:
+                retired = self.alive and faults.num_alive == 0
+            if retired:
+                self.death_time_s = time_s
+                self.can_accept = False
+                self._service_version = -1
+                dropped = [queued for queued, _, _ in self._queue]
+                self._queue.clear()
         return request, deaths, dropped
 
     def start_next(self) -> Optional[WorkloadProfile]:
@@ -553,6 +631,7 @@ class FleetDevice:
         if not self._queue:
             return None
         self._in_service = self._queue.popleft()
+        self.can_accept = self.alive and len(self._queue) < self._queue_limit
         return self._in_service[1]
 
     @property

@@ -64,14 +64,16 @@ _LOSS_EPSILON = 1e-12
 
 
 class DeviceView(Protocol):
-    """What a dispatch policy may observe about one device."""
+    """What a dispatch policy may observe about one device.
+
+    ``can_accept`` (alive with queue headroom) may be a plain attribute
+    or a property: :class:`~repro.fleet.device.FleetDevice` keeps it as
+    an attribute, current after every state change, because every
+    policy reads it for every device on every arrival.
+    """
 
     device_id: int
-
-    @property
-    def can_accept(self) -> bool:
-        """Alive with queue headroom."""
-        ...
+    can_accept: bool
 
     @property
     def outstanding(self) -> int:
@@ -97,6 +99,9 @@ class DispatchPolicy(abc.ABC):
                 f"a fleet needs at least one device, got {num_devices}"
             )
         self._num_devices = num_devices
+        # Device ids twice over: ``_ring[p:p + n]`` is rotation order
+        # from pointer ``p``, walked without a modulo per offset.
+        self._ring = list(range(num_devices)) * 2
 
     @property
     @abc.abstractmethod
@@ -141,8 +146,8 @@ class RoundRobinDispatch(DispatchPolicy):
         workload: Optional[str] = None,
         max_loss: Optional[float] = None,
     ) -> Optional[int]:
-        for offset in range(self._num_devices):
-            device_id = (self._pointer + offset) % self._num_devices
+        pointer = self._pointer
+        for device_id in self._ring[pointer:pointer + self._num_devices]:
             if devices[device_id].can_accept:
                 self._pointer = (device_id + 1) % self._num_devices
                 return device_id
@@ -247,8 +252,8 @@ class RotationalDispatch(DispatchPolicy):
     ) -> Optional[int]:
         chosen: Optional[int] = None
         chosen_load = 0.0
-        for offset in range(self._num_devices):
-            device_id = (self._pointer + offset) % self._num_devices
+        pointer = self._pointer
+        for device_id in self._ring[pointer:pointer + self._num_devices]:
             if not devices[device_id].can_accept:
                 continue
             load = self._dispatched[device_id]
@@ -350,8 +355,8 @@ class SLORotationalDispatch(DispatchPolicy):
         budget = _loss_budget(max_loss)
         chosen: Optional[int] = None
         chosen_load = 0.0
-        for offset in range(self._num_devices):
-            device_id = (self._pointer + offset) % self._num_devices
+        pointer = self._pointer
+        for device_id in self._ring[pointer:pointer + self._num_devices]:
             device = devices[device_id]
             if not device.can_accept:
                 continue

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -330,73 +330,77 @@ def simulate_fleet(
         for index in range(config.num_devices)
     ]
     policy = make_dispatch_policy(config.policy, config.num_devices)
+    select = policy.select
+    # Each workload's profile with its wear footprint, looked up once
+    # per arrival instead of re-read through the profile's property.
+    costs = {
+        name: (profile, profile.wear_units) for name, profile in profiles.items()
+    }
 
     # Completion heap: (time, sequence number, device id). The sequence
     # number makes simultaneous completions pop in start order.
     completions: List[Tuple[float, int, int]] = []
+    heappush = heapq.heappush
+    heappop = heapq.heappop
     tick = 0
     latencies: List[float] = []
     delivered_losses: List[float] = []
-    slo_by_index: Dict[int, float] = {}
-    arrival_by_index: Dict[int, float] = {}
     pe_deaths: List[PEDeath] = []
     availability: List[Tuple[float, int]] = [(0.0, config.num_devices)]
     completed = rejected = dropped = slo_violations = 0
     last_event_s = 0.0
 
-    def start_service(device: FleetDevice, profile: WorkloadProfile, now: float) -> None:
-        nonlocal tick
-        tick += 1
-        heapq.heappush(
-            completions,
-            (now + device.service_seconds(profile), tick, device.device_id),
-        )
-
     def run_completion(now: float, device_id: int) -> None:
-        nonlocal completed, dropped, slo_violations, last_event_s
+        # The finished request carries its own arrival time and SLO.
+        nonlocal completed, dropped, slo_violations, last_event_s, tick
         device = devices[device_id]
         request, deaths, dropped_requests = device.complete(now)
         completed += 1
-        latencies.append(now - arrival_by_index.pop(request.index))
-        delivered_losses.append(device.last_loss)
-        if device.last_loss > slo_by_index.pop(request.index) + 1e-12:
+        latencies.append(now - request.arrival_s)
+        loss = device.last_loss
+        delivered_losses.append(loss)
+        if loss > request.slo.max_loss + 1e-12:
             slo_violations += 1
-        pe_deaths.extend(deaths)
-        dropped += len(dropped_requests)
-        for queued in dropped_requests:
-            arrival_by_index.pop(queued.index, None)
-            slo_by_index.pop(queued.index, None)
-        if not device.alive:
+        if deaths:
+            pe_deaths.extend(deaths)
+        if dropped_requests:
+            dropped += len(dropped_requests)
+        if device.death_time_s is not None:
             alive = sum(1 for d in devices if d.alive)
             availability.append((now, alive))
         else:
             next_profile = device.start_next()
             if next_profile is not None:
-                start_service(device, next_profile, now)
-        last_event_s = max(last_event_s, now)
+                tick += 1
+                heappush(
+                    completions,
+                    (now + device.service_seconds(next_profile), tick, device_id),
+                )
+        if now > last_event_s:
+            last_event_s = now
 
     for request in requests:
-        while completions and completions[0][0] <= request.arrival_s:
-            time_s, _, device_id = heapq.heappop(completions)
+        arrival = request.arrival_s
+        while completions and completions[0][0] <= arrival:
+            time_s, _, device_id = heappop(completions)
             run_completion(time_s, device_id)
-        profile = profiles[request.workload]
-        chosen = policy.select(
-            devices,
-            profile.wear_units,
-            workload=request.workload,
-            max_loss=request.slo.max_loss,
-        )
-        last_event_s = max(last_event_s, request.arrival_s)
+        workload = request.workload
+        profile, wear_units = costs[workload]
+        chosen = select(devices, wear_units, workload, request.slo.max_loss)
+        if arrival > last_event_s:
+            last_event_s = arrival
         if chosen is None:
             rejected += 1
             continue
-        arrival_by_index[request.index] = request.arrival_s
-        slo_by_index[request.index] = request.slo.max_loss
         device = devices[chosen]
         if device.enqueue(request, profile):
-            start_service(device, profile, request.arrival_s)
+            tick += 1
+            heappush(
+                completions,
+                (arrival + device.service_seconds(profile), tick, chosen),
+            )
     while completions:
-        time_s, _, device_id = heapq.heappop(completions)
+        time_s, _, device_id = heappop(completions)
         run_completion(time_s, device_id)
 
     duration = max(last_event_s, requests[-1].arrival_s)

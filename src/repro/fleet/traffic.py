@@ -202,7 +202,12 @@ def bursty_requests(
         raise ConfigurationError(f"burstiness must be >= 1, got {burstiness}")
     rng = np.random.default_rng(_as_seed_sequence(seed))
     names = mix.names
-    probabilities = mix.probabilities
+    # Each burst's workload is ``rng.choice(len(names), p=probabilities)``
+    # done by hand: numpy draws one ``rng.random()`` and searches this
+    # normalized CDF, so the stream is the same, minus re-validating
+    # ``p`` and rebuilding the CDF on every burst.
+    cdf = mix.probabilities.cumsum()
+    cdf /= cdf[-1]
     slos = _slo_table(mix)
     intra_gap_mean = 1.0 / (rate_rps * burstiness)
     # Idle time so one burst cycle still averages burst_mean / rate_rps.
@@ -215,7 +220,7 @@ def bursty_requests(
     while len(requests) < num_requests:
         clock += rng.exponential(idle_mean)
         length = 1 + rng.geometric(1.0 / burst_mean)
-        workload = names[rng.choice(len(names), p=probabilities)]
+        workload = names[cdf.searchsorted(rng.random(), side="right")]
         for position in range(int(length)):
             if len(requests) >= num_requests:
                 break

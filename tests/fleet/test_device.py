@@ -1,11 +1,20 @@
 """Tests for per-device fleet state: queue, wear ledger, fault state."""
 
+import pickle
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from repro.core.engine import WearLevelingEngine
+from repro.dataflow.scheduler import SchedulerOptions
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.common import paper_accelerator
 from repro.faults.injection import EnduranceBudgets
-from repro.fleet.device import FleetDevice, WorkloadProfile
+from repro.fleet import device as device_module
+from repro.fleet.device import FleetDevice, WorkloadProfile, build_profile
 from repro.fleet.traffic import Request
 
 
@@ -28,6 +37,95 @@ class TestWorkloadProfile:
             WorkloadProfile("x", np.zeros(4), cycles=10)
         with pytest.raises(ConfigurationError):
             WorkloadProfile("x", np.zeros((2, 2)), cycles=0)
+
+
+    def test_counts_are_a_read_only_copy(self, small_torus):
+        counts = np.ones(small_torus.array.shape, dtype=np.int64)
+        profile = WorkloadProfile("x", counts, cycles=10)
+        counts[0, 0] = 7  # the caller's array stays theirs
+        assert profile.counts[0, 0] == 1
+        with pytest.raises(ValueError):
+            profile.counts[0, 0] = 2
+        clone = pickle.loads(pickle.dumps(profile))
+        with pytest.raises(ValueError):
+            clone.counts[0, 0] = 2
+
+
+class TestProfileMemo:
+    """``build_profile`` memoizes per process, even with the cache off."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "off")
+        monkeypatch.setattr(device_module, "_PROFILE_MEMO", OrderedDict())
+
+    @staticmethod
+    def forbid_rebuilds(monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("profile was rebuilt")
+
+        monkeypatch.setattr(WearLevelingEngine, "run", boom)
+        monkeypatch.setattr("repro.experiments.common.execution_for", boom)
+
+    def test_second_call_skips_the_engine(self, monkeypatch):
+        first = build_profile("Sqz")
+        self.forbid_rebuilds(monkeypatch)
+        second = build_profile("SqueezeNet")
+        assert np.array_equal(second.counts, first.counts)
+        assert second.cycles == first.cycles
+
+    def test_other_accelerator_or_options_miss(self, monkeypatch):
+        build_profile("Sqz")
+        self.forbid_rebuilds(monkeypatch)
+        with pytest.raises(AssertionError, match="rebuilt"):
+            build_profile("Sqz", paper_accelerator(torus=False))
+        with pytest.raises(AssertionError, match="rebuilt"):
+            build_profile("Sqz", options=SchedulerOptions(objective="latency"))
+
+    def test_cap_zero_disables_the_memo(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTION_CACHE_SIZE", "0")
+        build_profile("Sqz")
+        self.forbid_rebuilds(monkeypatch)
+        with pytest.raises(AssertionError, match="rebuilt"):
+            build_profile("Sqz")
+
+    def test_concurrent_callers_share_a_bounded_memo(self, monkeypatch):
+        """More threads than cores thrash a 2-entry memo over 3 keys."""
+        monkeypatch.setenv("REPRO_EXECUTION_CACHE_SIZE", "2")
+
+        def fake_build(key, workload, *args):
+            return WorkloadProfile(workload, np.ones((2, 2)), cycles=1)
+
+        # Cheap keys and builds, so the threads spend their time in the
+        # memo's get / insert / evict steps.
+        monkeypatch.setattr(device_module, "_profile_key", lambda workload, *_: workload)
+        monkeypatch.setattr(device_module, "_load_or_build_profile", fake_build)
+        workloads = ("SqueezeNet", "ResNet-50", "ViT")
+        errors = []
+
+        def hammer(offset):
+            try:
+                for step in range(10000):
+                    name = workloads[(step + offset) % len(workloads)]
+                    assert build_profile(name).workload == name
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(offset,)) for offset in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(device_module._PROFILE_MEMO) <= 2
 
 
 class TestConstruction:

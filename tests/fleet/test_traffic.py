@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.accuracy.slo import SLOClass
 from repro.errors import ConfigurationError
 from repro.fleet.traffic import (
+    Request,
     WorkloadMix,
     bursty_requests,
     make_traffic,
@@ -129,3 +132,71 @@ class TestMakeTraffic:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             make_traffic("fractal", 10, 1.0)
+
+
+def reference_bursty_requests(
+    num_requests, rate_rps, mix, seed, burst_mean=8.0, burstiness=4.0
+):
+    """The generator's loop as it was written with ``rng.choice``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    names = mix.names
+    probabilities = mix.probabilities
+    slos = {name: mix.slo_for(name) for name in names}
+    intra_gap_mean = 1.0 / (rate_rps * burstiness)
+    idle_mean = max(
+        burst_mean / rate_rps - (burst_mean - 1.0) * intra_gap_mean,
+        1.0 / rate_rps,
+    )
+    requests = []
+    clock = 0.0
+    while len(requests) < num_requests:
+        clock += rng.exponential(idle_mean)
+        length = 1 + rng.geometric(1.0 / burst_mean)
+        workload = names[rng.choice(len(names), p=probabilities)]
+        for position in range(int(length)):
+            if len(requests) >= num_requests:
+                break
+            if position:
+                clock += rng.exponential(intra_gap_mean)
+            requests.append(
+                Request(
+                    index=len(requests),
+                    arrival_s=clock,
+                    workload=workload,
+                    slo=slos[workload],
+                )
+            )
+    return tuple(requests)
+
+
+mixes = st.lists(
+    st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+    min_size=1,
+    max_size=6,
+).map(
+    lambda weights: WorkloadMix(
+        tuple((f"w{i}", weight) for i, weight in enumerate(weights)),
+        slos=(("w0", SLOClass.tolerant(0.1)),),
+    )
+)
+
+
+class TestBurstyDrawStream:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mix=mixes,
+        num_requests=st.integers(min_value=1, max_value=300),
+        rate_rps=st.floats(min_value=0.1, max_value=1e4),
+        burst_mean=st.floats(min_value=1.0, max_value=40.0),
+    )
+    def test_matches_the_rng_choice_loop(
+        self, seed, mix, num_requests, rate_rps, burst_mean
+    ):
+        expected = reference_bursty_requests(
+            num_requests, rate_rps, mix, seed, burst_mean=burst_mean
+        )
+        actual = bursty_requests(
+            num_requests, rate_rps, mix, seed=seed, burst_mean=burst_mean
+        )
+        assert actual == expected
