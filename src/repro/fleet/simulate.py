@@ -350,9 +350,17 @@ def simulate_fleet(
     completed = rejected = dropped = slo_violations = 0
     last_event_s = 0.0
 
+    def start_service(device: FleetDevice, profile: WorkloadProfile, now: float) -> None:
+        nonlocal tick
+        tick += 1
+        heappush(
+            completions,
+            (now + device.service_seconds(profile), tick, device.device_id),
+        )
+
     def run_completion(now: float, device_id: int) -> None:
         # The finished request carries its own arrival time and SLO.
-        nonlocal completed, dropped, slo_violations, last_event_s, tick
+        nonlocal completed, dropped, slo_violations, last_event_s
         device = devices[device_id]
         request, deaths, dropped_requests = device.complete(now)
         completed += 1
@@ -371,11 +379,7 @@ def simulate_fleet(
         else:
             next_profile = device.start_next()
             if next_profile is not None:
-                tick += 1
-                heappush(
-                    completions,
-                    (now + device.service_seconds(next_profile), tick, device_id),
-                )
+                start_service(device, next_profile, now)
         if now > last_event_s:
             last_event_s = now
 
@@ -394,11 +398,7 @@ def simulate_fleet(
             continue
         device = devices[chosen]
         if device.enqueue(request, profile):
-            tick += 1
-            heappush(
-                completions,
-                (arrival + device.service_seconds(profile), tick, chosen),
-            )
+            start_service(device, profile, arrival)
     while completions:
         time_s, _, device_id = heappop(completions)
         run_completion(time_s, device_id)
