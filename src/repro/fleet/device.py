@@ -306,7 +306,6 @@ class FleetDevice:
             )
         self.device_id = device_id
         self._array = array
-        self._num_pes = array.num_pes
         self._budgets = budgets
         self._queue_limit = queue_limit
         self._clock_hz = clock_mhz * 1e6
@@ -455,7 +454,7 @@ class FleetDevice:
         alive = self._faults.num_alive
         if alive <= 0:
             return float("inf")
-        return self._num_pes / alive
+        return self._array.num_pes / alive
 
     def service_seconds(self, profile: WorkloadProfile) -> float:
         """Wall-clock service time of one request on this device, now.
@@ -571,10 +570,9 @@ class FleetDevice:
         possible — so deaths happen at the same request, time, and
         coordinates as with eager application).
         """
-        in_service = self._in_service
-        if in_service is None:
+        if self._in_service is None:
             raise SimulationError(f"device {self.device_id} is idle")
-        request, profile, loss = in_service
+        request, profile, loss = self._in_service
         self._in_service = None
         self.served += 1
         self.last_loss = loss
