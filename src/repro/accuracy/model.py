@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable
 
 from repro.errors import ConfigurationError
+from repro.runtime.memo import Memo
 
 #: Registered model names, in citation order.
 ACCURACY_MODEL_NAMES = ("pruning", "approximation")
@@ -208,7 +209,8 @@ def make_accuracy_model(name: str) -> AccuracyModel:
 
 # -- per-workload calibration ---------------------------------------------
 
-_PROFILE_MEMO: Dict[str, WorkloadAccuracyProfile] = {}
+#: Calibrated profiles by requested workload name.
+_PROFILE_MEMO = Memo()
 
 
 def calibrate_profile(workload: str) -> WorkloadAccuracyProfile:
@@ -240,18 +242,22 @@ def accuracy_profile_for(workload: str) -> WorkloadAccuracyProfile:
     """Calibrated profile, falling back to the generic one.
 
     Memoized per workload name: calibration is cheap but sits on the
-    fleet event loop's dispatch path.
+    fleet event loop's dispatch path (behind each device's per-fault-
+    version loss memo, so the memo's lock is not paid per event).
     """
-    cached = _PROFILE_MEMO.get(workload)
-    if cached is None:
-        from repro.errors import WorkloadError
+    return _PROFILE_MEMO.get_or_build(
+        workload, lambda: _calibrated_or_generic(workload)
+    )
 
-        try:
-            cached = calibrate_profile(workload)
-        except WorkloadError:
-            cached = GENERIC_ACCURACY_PROFILE
-        _PROFILE_MEMO[workload] = cached
-    return cached
+
+def _calibrated_or_generic(workload: str) -> WorkloadAccuracyProfile:
+    """:func:`calibrate_profile`, or the generic profile for unknown names."""
+    from repro.errors import WorkloadError
+
+    try:
+        return calibrate_profile(workload)
+    except WorkloadError:
+        return GENERIC_ACCURACY_PROFILE
 
 
 def calibrate_profiles(

@@ -33,10 +33,21 @@ from repro.core.policies import WearLevelingPolicy
 from repro.core.tracker import UsageTracker, grouped_delta
 from repro.dataflow.tiling import TileStream
 from repro.errors import ConfigurationError, SimulationError
+from repro.runtime.fingerprint import accelerator_fingerprint
+from repro.runtime.memo import Memo
 
 if TYPE_CHECKING:  # avoid a load-time core -> faults dependency
     from repro.faults.injection import EnduranceBudgets
     from repro.faults.state import DeathEvent, DegradationStats, FaultState
+
+#: One shared iteration record: the read-only :class:`IterationDelta`
+#: plus the ``_batch_memo`` entries its layers touched.
+SharedRecord = Tuple[IterationDelta, Tuple[Tuple[tuple, tuple], ...]]
+
+#: Orbit records shared by every engine in the process. One table of
+#: ``entry_state -> SharedRecord`` per (policy identity, cycle
+#: weighting, accelerator fingerprint, per-layer ``(x, y, Z, weight)``).
+_ORBIT_RECORDS = Memo()
 
 
 @dataclass(frozen=True)
@@ -299,9 +310,7 @@ class WearLevelingEngine:
         through here, so they populate identical memo entries and stay
         bit-identical by construction.
         """
-        weight = 1
-        if self._cycle_weighted:
-            weight = max(1, stream.tile_cycles)
+        weight = self._layer_weight(stream)
         if self._fault_state is not None and self._fault_state.any_dead:
             return self._fault_layer_delta(stream, x, y, weight, state)
         key = (state, x, y, stream.num_tiles, weight)
@@ -311,6 +320,10 @@ class WearLevelingEngine:
             self._batch_memo[key] = cached
         delta, tiles, final, rng = cached
         return delta, tiles, stream.num_tiles, final, rng
+
+    def _layer_weight(self, stream: TileStream) -> int:
+        """Usage weight of one tile: 1, or its cycles when cycle-weighted."""
+        return max(1, stream.tile_cycles) if self._cycle_weighted else 1
 
     def _compute_layer(
         self, state: Tuple[int, int], x: int, y: int, num_tiles: int, weight: int
@@ -631,30 +644,72 @@ class WearLevelingEngine:
             return False
         return True
 
+    def _shared_records(
+        self, shapes: Sequence[Tuple[TileStream, int, int]]
+    ) -> Optional[Dict[Tuple[int, int], SharedRecord]]:
+        """This process's orbit-record table for ``shapes``, if shareable.
+
+        A record depends only on the policy's configuration, the cycle
+        weighting, the accelerator (topology included, via its
+        fingerprint), the per-layer ``(x, y, Z, weight)`` shapes and the
+        entry state, never on the iteration count or on what the run
+        records. Policies without a :attr:`memo_identity` and any run
+        with dead PEs bypass the table.
+        """
+        identity = self._policy.memo_identity
+        if identity is None or (
+            self._fault_state is not None and self._fault_state.any_dead
+        ):
+            return None
+        key = (
+            identity,
+            self._cycle_weighted,
+            accelerator_fingerprint(self._accelerator),
+            tuple(
+                (x, y, stream.num_tiles, self._layer_weight(stream))
+                for stream, x, y in shapes
+            ),
+        )
+        return _ORBIT_RECORDS.get_or_build(key, dict)
+
     def _iteration_delta(
         self,
         shapes: Sequence[Tuple[TileStream, int, int]],
         entry: Tuple[int, int],
+        records: Optional[Dict[Tuple[int, int], SharedRecord]],
     ) -> IterationDelta:
         """Aggregate one whole network iteration entered at ``entry``.
 
         ``shapes`` carries the streams with their pre-validated space
         shapes. Runs through the same memoized :meth:`_layer_delta`
         helper as the iterative path, so both paths populate identical
-        memo entries.
+        memo entries. With a shared ``records`` table, a recorded entry
+        state is served from it: its ``_batch_memo`` entries are copied
+        in, so the engine's memo ends up exactly as a cold walk leaves
+        it; a new record is frozen read-only and published there.
         """
+        if records is not None:
+            shared = records.get(entry)
+            if shared is not None:
+                record, entries = shared
+                self._batch_memo.update(entries)
+                return record
         total = np.zeros(self._accelerator.array.shape, dtype=np.int64)
         tiles = 0
         slots = 0
         state = entry
+        touched = []
         for stream, x, y in shapes:
+            touched.append(
+                (state, x, y, stream.num_tiles, self._layer_weight(stream))
+            )
             delta, layer_tiles, layer_slots, state, _ = self._layer_delta(
                 stream, x, y, state
             )
             total += delta
             tiles += layer_tiles
             slots += layer_slots
-        return IterationDelta(
+        record = IterationDelta(
             entry_state=entry,
             delta=total,
             tiles=tiles,
@@ -662,6 +717,30 @@ class WearLevelingEngine:
             exit_state=state,
             delta_range=delta_range(total),
         )
+        if records is not None:
+            total.setflags(write=False)
+            records.setdefault(entry, (record, self._memo_entries(touched)))
+        return record
+
+    def _memo_entries(
+        self, touched: List[tuple]
+    ) -> Tuple[Tuple[tuple, tuple], ...]:
+        """The ``_batch_memo`` entries that walking ``touched`` leaves.
+
+        Each touched layer key, plus its canonical-entry key: a key is
+        computed via its canonical entry (:meth:`_compute_layer`), and a
+        canonical entry is its own canonical. The delta arrays are
+        frozen, since other engines will share them.
+        """
+        keys = set(touched)
+        for state, *shape in touched:
+            symmetry = self._policy.canonical_entry(state)
+            if symmetry is not None:
+                keys.add((symmetry[0], *shape))
+        entries = tuple((key, self._batch_memo[key]) for key in keys)
+        for _, (delta, *_) in entries:
+            delta.setflags(write=False)
+        return entries
 
     def _run_analytic(
         self,
@@ -674,11 +753,13 @@ class WearLevelingEngine:
 
         The carried ``(u, v)`` state walks a deterministic map on a
         finite space, so at most ``w * h`` distinct iteration deltas
-        exist. Each distinct entry state is computed once and applied to
-        the live ledger; once the orbit closes, all remaining iterations
-        fold into ``q x (cycle delta) + prefix(remainder)`` — two array
-        additions — and the remainder trace (when requested) comes from
-        the vectorized affine extrema of
+        exist. Each distinct entry state is computed once per process
+        (later runs of the same orbit reuse its shared records, see
+        :meth:`_shared_records`) and applied to the live ledger; once
+        the orbit closes, all remaining iterations fold into
+        ``q x (cycle delta) + prefix(remainder)`` — two array additions
+        — and the remainder trace (when requested) comes from the
+        vectorized affine extrema of
         :func:`repro.core.analytic.cycle_trace_extrema`. Snapshots of
         the remainder are ``base + (m // L) x C + prefix[m % L]``.
         """
@@ -686,11 +767,12 @@ class WearLevelingEngine:
         shapes = [
             (stream, *self._validate_stream(stream)) for stream in streams
         ]
+        records = self._shared_records(shapes)
         table: Dict[Tuple[int, int], IterationDelta] = {}
         order: List[Tuple[int, int]] = []
         state = self._state
         while state not in table and len(order) < iterations:
-            record = self._iteration_delta(shapes, state)
+            record = self._iteration_delta(shapes, state, records)
             table[state] = record
             order.append(state)
             state = record.exit_state

@@ -19,7 +19,7 @@ Both need torus connectivity (starts are arbitrary). They register under
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -115,6 +115,10 @@ class DiagonalPolicy(WearLevelingPolicy):
     def name(self) -> str:
         return "diagonal"
 
+    @property
+    def memo_identity(self) -> Optional[Hashable]:
+        return (type(self),)
+
     def layer_start_state(self, carried: State) -> State:
         return carried
 
@@ -165,6 +169,10 @@ class RandomStartPolicy(WearLevelingPolicy):
     def seed(self) -> int:
         """The reproducibility seed."""
         return self._seed
+
+    @property
+    def memo_identity(self) -> Optional[Hashable]:
+        return (type(self), self._seed)
 
     def initial_state(self) -> State:
         return (0, 0)

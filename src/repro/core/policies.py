@@ -19,7 +19,7 @@ the usage ledger.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +51,18 @@ class WearLevelingPolicy(abc.ABC):
     @abc.abstractmethod
     def name(self) -> str:
         """Short identifier used in reports ("baseline", "rwl", "rwl+ro")."""
+
+    @property
+    def memo_identity(self) -> Optional[Hashable]:
+        """Hashable identity of the policy's full configuration, or ``None``.
+
+        Policies with equal identities place every layer identically
+        from every entry state, so the engine shares their per-iteration
+        orbit records across runs in one process. ``None`` (the default)
+        means runs of this policy are never memoized across engines.
+        Subclasses that add configuration must extend the identity.
+        """
+        return None
 
     def initial_state(self) -> State:
         """Coordinate state before the first tile of the first layer."""
@@ -104,6 +116,10 @@ class BaselinePolicy(WearLevelingPolicy):
     def name(self) -> str:
         return "baseline"
 
+    @property
+    def memo_identity(self) -> Optional[Hashable]:
+        return (type(self),)
+
     def layer_start_state(self, carried: State) -> State:
         return ORIGIN
 
@@ -138,6 +154,10 @@ class _StridingPolicy(WearLevelingPolicy):
     def trigger(self) -> StrideTrigger:
         """The vertical-stride trigger variant in use."""
         return self._trigger
+
+    @property
+    def memo_identity(self) -> Optional[Hashable]:
+        return (type(self), self._trigger)
 
     def layer_positions(
         self, x: int, y: int, num_tiles: int, w: int, h: int, state: State

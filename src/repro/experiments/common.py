@@ -8,8 +8,6 @@ or re-run the same policy — twice.
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.accelerator import Accelerator
@@ -21,6 +19,7 @@ from repro.dataflow.simulator import DataflowSimulator, NetworkExecution
 from repro.dataflow.tiling import TileStream
 from repro.runtime import (
     CACHE_SCHEMA_VERSION,
+    Memo,
     ParallelRunner,
     ResultCache,
     accelerator_fingerprint,
@@ -36,24 +35,16 @@ PAPER_ZOOM_ITERATIONS = 200
 #: The three schemes compared throughout Section V.
 POLICY_NAMES = ("baseline", "rwl", "rwl+ro")
 
-#: Default entry cap of the per-process schedule cache. Each entry is a
-#: full :class:`NetworkExecution`; long sweeps over many (network,
-#: accelerator, options) combinations would otherwise grow without
-#: bound. Override with ``REPRO_EXECUTION_CACHE_SIZE`` (0 disables).
-EXECUTION_CACHE_SIZE = 64
+#: Per-process schedule cache. Each entry is a full
+#: :class:`NetworkExecution`, keyed on the network, the accelerator
+#: fingerprint and the scheduler options; bounded like every
+#: :class:`~repro.runtime.memo.Memo` by ``REPRO_EXECUTION_CACHE_SIZE``.
+_EXECUTIONS = Memo()
 
-_EXECUTION_CACHE: "OrderedDict[Tuple, NetworkExecution]" = OrderedDict()
-
-
-def _execution_cache_cap() -> int:
-    """Resolve the execution-cache entry cap from the environment."""
-    raw = os.environ.get("REPRO_EXECUTION_CACHE_SIZE", "").strip()
-    if not raw:
-        return EXECUTION_CACHE_SIZE
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return EXECUTION_CACHE_SIZE
+#: Content keys of whole tile-stream sets, by value: the enabled result
+#: store keys each policy run on one of these instead of re-tokenizing
+#: every stream on every call.
+_STREAM_FINGERPRINTS = Memo()
 
 
 def paper_accelerator(torus: bool = True) -> Accelerator:
@@ -73,24 +64,18 @@ def execution_for(
     accelerators with identical width/height but different buffer or
     NoC configurations schedule differently and must not share entries.
     The least recently used entry is evicted once the cache exceeds
-    ``REPRO_EXECUTION_CACHE_SIZE`` entries.
+    ``REPRO_EXECUTION_CACHE_SIZE`` entries; concurrent callers of one
+    key receive the same object.
     """
     accelerator = accelerator or paper_accelerator()
     options = SchedulerOptions() if options is None else options
     network = get_network(network_name)
-    key = (network.name, accelerator_fingerprint(accelerator), options)
-    cached = _EXECUTION_CACHE.get(key)
-    if cached is not None:
-        _EXECUTION_CACHE.move_to_end(key)
-        return cached
-    simulator = DataflowSimulator(accelerator, options)
-    cached = simulator.execute_network(network.layers, name=network.name)
-    cap = _execution_cache_cap()
-    if cap > 0:
-        _EXECUTION_CACHE[key] = cached
-        while len(_EXECUTION_CACHE) > cap:
-            _EXECUTION_CACHE.popitem(last=False)
-    return cached
+    return _EXECUTIONS.get_or_build(
+        (network.name, accelerator_fingerprint(accelerator), options),
+        lambda: DataflowSimulator(accelerator, options).execute_network(
+            network.layers, name=network.name
+        ),
+    )
 
 
 def streams_for(
@@ -115,16 +100,20 @@ def run_policy_key(
 
     Covers everything that determines the engine's output: the full
     accelerator configuration, the policy and its trigger, the exact
-    tile streams, the iteration count, what gets recorded, and the
-    cache schema version (bumped when engine semantics change).
+    tile streams (through their set's fingerprint, computed once per
+    distinct stream set), the iteration count, what gets recorded, and
+    the cache schema version (bumped when engine semantics change).
     """
+    streams = tuple(streams)
     return content_hash(
         "run_policy",
         CACHE_SCHEMA_VERSION,
         accelerator_fingerprint(accelerator),
         policy_name,
         trigger,
-        tuple(streams),
+        _STREAM_FINGERPRINTS.get_or_build(
+            streams, lambda: content_hash("streams", streams)
+        ),
         iterations,
         record_trace,
         record_snapshots,
@@ -187,12 +176,16 @@ def run_policies(
     streams = tuple(streams)
     store = result_cache() if cache is None else cache
     results: Dict[str, RunResult] = {}
-    pending: List[Tuple[str, str]] = []
+    pending: List[Tuple[str, Optional[str]]] = []
     for name in policies:
-        key = run_policy_key(
-            accelerator, name, trigger, streams, iterations,
-            record_trace, record_snapshots,
-        )
+        # A disabled store never reads the key (it still counts the
+        # miss), so building one would be wasted work.
+        key = None
+        if store.enabled:
+            key = run_policy_key(
+                accelerator, name, trigger, streams, iterations,
+                record_trace, record_snapshots,
+            )
         hit = store.get(key)
         if isinstance(hit, RunResult):
             results[name] = hit

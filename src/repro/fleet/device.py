@@ -23,8 +23,7 @@ not a synthetic abstraction of them.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,6 +42,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.faults.injection import EnduranceBudgets
 from repro.faults.state import FaultState
 from repro.fleet.traffic import Request
+from repro.runtime.memo import Memo
 
 #: Intra-device wear-leveling policy assumed when profiling workloads:
 #: fleet devices are RoTA accelerators, so each runs RWL+RO internally.
@@ -113,12 +113,11 @@ class WorkloadProfile:
         return cached
 
 
-#: Per-process profile memo keyed by :func:`_profile_key`, LRU-bounded
-#: by the execution-cache cap: a fleet study asks for the same few
-#: workloads on every request, and a result-cache miss (or the cache
-#: being off) would otherwise re-run one engine iteration per workload.
-_PROFILE_MEMO: "OrderedDict[str, WorkloadProfile]" = OrderedDict()
-_PROFILE_MEMO_LOCK = threading.Lock()
+#: Per-process profile memo keyed by :func:`_profile_key`: a fleet
+#: study asks for the same few workloads on every request, and a
+#: result-cache miss (or the cache being off) would otherwise re-run one
+#: engine iteration per workload.
+_PROFILE_MEMO = Memo()
 
 
 def _profile_key(
@@ -180,25 +179,16 @@ def build_profile(
     execution cache (:func:`repro.experiments.common.execution_for`)
     de-duplicates scheduling within a process on a cache miss.
     """
-    from repro.experiments.common import _execution_cache_cap, paper_accelerator
+    from repro.experiments.common import paper_accelerator
 
     accelerator = accelerator or paper_accelerator()
     key = _profile_key(workload, accelerator, policy_name, options)
-    with _PROFILE_MEMO_LOCK:
-        memo = _PROFILE_MEMO.get(key)
-        if memo is not None:
-            _PROFILE_MEMO.move_to_end(key)
-            return memo
-    profile = _load_or_build_profile(
-        key, workload, accelerator, policy_name, options
+    return _PROFILE_MEMO.get_or_build(
+        key,
+        lambda: _load_or_build_profile(
+            key, workload, accelerator, policy_name, options
+        ),
     )
-    cap = _execution_cache_cap()
-    if cap > 0:
-        with _PROFILE_MEMO_LOCK:
-            _PROFILE_MEMO[key] = profile
-            while len(_PROFILE_MEMO) > cap:
-                _PROFILE_MEMO.popitem(last=False)
-    return profile
 
 
 def _load_or_build_profile(

@@ -3,9 +3,11 @@
 The substrate the experiment layer scales on: a process-pool runner
 with a serial fallback and deterministic result ordering
 (:mod:`repro.runtime.parallel`), stable content hashing for cache keys
-(:mod:`repro.runtime.fingerprint`), and a persistent content-addressed
-result store (:mod:`repro.runtime.cache`). See
-``docs/architecture.md`` ("Runtime & caching") for the full contract.
+(:mod:`repro.runtime.fingerprint`), a persistent content-addressed
+result store (:mod:`repro.runtime.cache`), and the locked, bounded
+per-process memo every in-process cache uses
+(:mod:`repro.runtime.memo`). See ``docs/architecture.md`` ("Runtime &
+caching") for the full contract.
 """
 
 from repro.runtime.cache import (
@@ -15,6 +17,7 @@ from repro.runtime.cache import (
     cache_root,
     result_cache,
 )
+from repro.runtime.memo import Memo
 from repro.runtime.observe import RunMetrics, collect_metrics
 from repro.runtime.fingerprint import (
     CACHE_SCHEMA_VERSION,
@@ -35,6 +38,7 @@ __all__ = [
     "CacheStats",
     "CacheVerifyReport",
     "JOBS_ENV",
+    "Memo",
     "ParallelRunner",
     "ResultCache",
     "RunMetrics",

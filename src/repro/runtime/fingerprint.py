@@ -26,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runtime.memo import Memo
 
 #: Bump whenever the semantics of cached results change (e.g. the engine
 #: produces different counts for the same inputs). Part of every key, so
@@ -99,14 +100,24 @@ def content_hash(*parts: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:40]
 
 
+#: Fingerprints by accelerator value (``Accelerator`` is a frozen,
+#: hashable dataclass), so each distinct configuration is serialized and
+#: hashed once per process.
+_FINGERPRINTS = Memo()
+
+
 def accelerator_fingerprint(accelerator) -> str:
     """Content key of a full accelerator configuration.
 
     Uses the serialization round-trip dict, so every hardware parameter
     (buffers, NoC, DRAM, clock, topology) participates — two
     accelerators with equal array dimensions but different buffer or NoC
-    configurations hash differently.
+    configurations hash differently. Memoized per distinct value: equal
+    accelerators share one fingerprint.
     """
     from repro.arch.serialize import accelerator_to_dict
 
-    return content_hash("accelerator", accelerator_to_dict(accelerator))
+    return _FINGERPRINTS.get_or_build(
+        accelerator,
+        lambda: content_hash("accelerator", accelerator_to_dict(accelerator)),
+    )

@@ -1,13 +1,20 @@
 """Tests for the shared experiment plumbing."""
 
+import sys
+import threading
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
+from repro.experiments import common as common_module
 from repro.experiments.common import (
     execution_for,
     paper_accelerator,
     run_policies,
     streams_for,
 )
+from repro.runtime import ResultCache
 
 
 class TestPaperAccelerator:
@@ -57,6 +64,49 @@ class TestExecutionCache:
         # A quarter of the GLB changes the energy-optimal schedules.
         assert constrained.total_tiles != normal.total_tiles
 
+    def test_concurrent_callers_share_a_bounded_cache(self, monkeypatch):
+        """More threads than cores thrash a 2-entry cache over 3 keys;
+        no lookup may lose its entry to a concurrent eviction."""
+        monkeypatch.setenv("REPRO_EXECUTION_CACHE_SIZE", "2")
+
+        class StubSimulator:
+            def __init__(self, accelerator, options):
+                pass
+
+            def execute_network(self, layers, name):
+                return SimpleNamespace(network_name=name)
+
+        # A cheap stub, so the threads spend their time in the cache's
+        # get / insert / evict steps; a private accelerator keeps the
+        # stub entries away from every other test's keys.
+        monkeypatch.setattr(common_module, "DataflowSimulator", StubSimulator)
+        accelerator = replace(paper_accelerator(), name="execution-stress")
+        networks = ("SqueezeNet", "ResNet-50", "ViT")
+        errors = []
+
+        def hammer(offset):
+            try:
+                for step in range(10000):
+                    name = networks[(step + offset) % len(networks)]
+                    assert execution_for(name, accelerator).network_name == name
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(offset,)) for offset in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
 
 class TestRunPolicies:
     def test_all_three_policies(self):
@@ -89,3 +139,28 @@ class TestRunPolicies:
         parallel = run_policies(streams, iterations=2, record_trace=False, jobs=2)
         for name in serial:
             assert np.array_equal(serial[name].counts, parallel[name].counts)
+
+    def test_disabled_store_builds_no_key(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("run key was built")
+
+        monkeypatch.setattr(common_module, "run_policy_key", boom)
+        streams = streams_for("SqueezeNet")
+        cache = ResultCache(enabled=False)
+        results = run_policies(streams, iterations=1, cache=cache)
+        assert set(results) == {"baseline", "rwl", "rwl+ro"}
+
+    def test_enabled_store_keys_every_policy(self, monkeypatch, tmp_path):
+        keys = []
+        real = common_module.run_policy_key
+
+        def spy(*args):
+            keys.append(real(*args))
+            return keys[-1]
+
+        monkeypatch.setattr(common_module, "run_policy_key", spy)
+        streams = streams_for("SqueezeNet")
+        cache = ResultCache(tmp_path, enabled=True)
+        run_policies(streams, iterations=1, cache=cache)
+        assert len(set(keys)) == 3
+        assert cache.stats().entries == 3

@@ -3,7 +3,6 @@
 import pickle
 import sys
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from repro.faults.injection import EnduranceBudgets
 from repro.fleet import device as device_module
 from repro.fleet.device import FleetDevice, WorkloadProfile, build_profile
 from repro.fleet.traffic import Request
+from repro.runtime import Memo
 
 
 def profile_for(accelerator, wear=1, cycles=1000, name="toy"):
@@ -57,7 +57,7 @@ class TestProfileMemo:
     @pytest.fixture(autouse=True)
     def fresh_memo(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "off")
-        monkeypatch.setattr(device_module, "_PROFILE_MEMO", OrderedDict())
+        monkeypatch.setattr(device_module, "_PROFILE_MEMO", Memo())
 
     @staticmethod
     def forbid_rebuilds(monkeypatch):

@@ -1,10 +1,13 @@
 """Tests for content hashing and the persistent result cache."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.arch.buffers import Buffer, GlobalBuffer
 from repro.arch.presets import eyeriss_v1
+from repro.arch.topology import Topology
 from repro.core.policies import StrideTrigger
 from repro.dataflow.scheduler import SchedulerOptions
 from repro.errors import ConfigurationError
@@ -76,6 +79,57 @@ class TestAcceleratorFingerprint:
         assert accelerator_fingerprint(eyeriss_v1()) == accelerator_fingerprint(
             eyeriss_v1()
         )
+
+    def test_equal_instances_share_one_fingerprint(self, monkeypatch):
+        """Each distinct value is serialized once per process; an equal
+        but distinct instance reuses its fingerprint."""
+        first = replace(eyeriss_v1(), name="fingerprint-probe")
+        second = replace(eyeriss_v1(), name="fingerprint-probe")
+        assert first is not second and first == second
+        expected = accelerator_fingerprint(first)
+
+        def boom(accelerator):
+            raise AssertionError("fingerprint was recomputed")
+
+        monkeypatch.setattr("repro.arch.serialize.accelerator_to_dict", boom)
+        assert accelerator_fingerprint(second) == expected
+
+    def test_every_hardware_block_participates(self):
+        base = eyeriss_v1(torus=True)
+        noc = base.noc
+        variants = [
+            replace(base, glb=GlobalBuffer(replace(base.glb.buffer, capacity_bytes=1024))),
+            replace(
+                base,
+                noc=replace(
+                    noc,
+                    global_net=replace(
+                        noc.global_net,
+                        bandwidth_bytes_per_cycle=noc.global_net.bandwidth_bytes_per_cycle + 1,
+                    ),
+                ),
+            ),
+            replace(
+                base,
+                noc=replace(
+                    noc,
+                    local_net=replace(
+                        noc.local_net, energy_per_hop_pj=noc.local_net.energy_per_hop_pj * 2
+                    ),
+                ),
+            ),
+            replace(
+                base,
+                dram=replace(
+                    base.dram, bandwidth_bytes_per_cycle=base.dram.bandwidth_bytes_per_cycle + 1
+                ),
+            ),
+            replace(base, clock_mhz=base.clock_mhz + 1),
+            replace(base, array=base.array.with_topology(Topology.MESH)),
+        ]
+        fingerprints = {accelerator_fingerprint(base)}
+        fingerprints.update(accelerator_fingerprint(variant) for variant in variants)
+        assert len(fingerprints) == 1 + len(variants)
 
 
 class TestResultCache:
