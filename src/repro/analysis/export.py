@@ -64,17 +64,8 @@ def trace_to_csv(result: RunResult, path) -> Path:
         "max_difference",
         "r_diff",
     )
-    rows = [
-        (
-            point.iteration,
-            point.tiles_seen,
-            point.max_usage,
-            point.min_usage,
-            point.max_difference,
-            point.r_diff,
-        )
-        for point in result.trace
-    ]
+    # Every column but ``layer``, in header order.
+    rows = zip(*result.trace.columns()[: len(headers)])
     return write_csv(path, headers, rows)
 
 

@@ -15,8 +15,10 @@ loop (property-tested in ``tests/core/test_engine.py``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from itertools import starmap
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +69,127 @@ class TracePoint:
     layer: str = ""
 
 
+class Trace(SequenceABC):
+    """A run's imbalance trace, stored as read-only columns.
+
+    One int64 array per recorded quantity (``iteration``,
+    ``tiles_seen``, ``max_usage``, ``min_usage``) plus the ``layer``
+    names; ``max_difference`` and ``r_diff`` are derived from the
+    extrema in one vectorized pass. Indexing and iteration yield
+    :class:`TracePoint` rows, slicing yields a shorter ``Trace``, and a
+    trace compares equal to another trace or to any sequence of the same
+    points.
+
+    ``r_diff`` is ``0`` when usage is level, ``inf`` while some PE is
+    unused, and ``max_difference / min_usage`` otherwise; float64
+    division of the exact integer extrema rounds exactly as Python's
+    ``int / int`` does.
+    """
+
+    __slots__ = (
+        "iteration",
+        "tiles_seen",
+        "max_usage",
+        "min_usage",
+        "max_difference",
+        "r_diff",
+        "layer",
+    )
+
+    def __init__(
+        self,
+        iteration: Sequence[int] = (),
+        tiles_seen: Sequence[int] = (),
+        max_usage: Sequence[int] = (),
+        min_usage: Sequence[int] = (),
+        layer: Optional[Sequence[str]] = None,
+    ) -> None:
+        """Wrap the columns; ``layer=None`` means iteration-granular."""
+        ints = [
+            np.array(column, dtype=np.int64)
+            for column in (iteration, tiles_seen, max_usage, min_usage)
+        ]
+        size = ints[0].size
+        layer = ("",) * size if layer is None else tuple(layer)
+        if any(column.shape != (size,) for column in ints) or len(layer) != size:
+            raise SimulationError("trace columns must be 1-D and equally long")
+        high, low = ints[2], ints[3]
+        difference = high - low
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_diff = np.where(difference == 0, 0.0, difference / low)
+        for name, value in zip(
+            self.__slots__, (*ints, difference, r_diff, layer)
+        ):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return (
+            Trace,
+            (
+                self.iteration,
+                self.tiles_seen,
+                self.max_usage,
+                self.min_usage,
+                self.layer,
+            ),
+        )
+
+    def columns(self) -> Tuple[list, ...]:
+        """Plain-Python columns, in :class:`TracePoint` field order."""
+        return (
+            self.iteration.tolist(),
+            self.tiles_seen.tolist(),
+            self.max_usage.tolist(),
+            self.min_usage.tolist(),
+            self.max_difference.tolist(),
+            self.r_diff.tolist(),
+            list(self.layer),
+        )
+
+    def __len__(self) -> int:
+        return len(self.layer)
+
+    def __iter__(self) -> Iterator[TracePoint]:
+        return starmap(TracePoint, zip(*self.columns()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(
+                self.iteration[index],
+                self.tiles_seen[index],
+                self.max_usage[index],
+                self.min_usage[index],
+                self.layer[index],
+            )
+        return TracePoint(
+            int(self.iteration[index]),
+            int(self.tiles_seen[index]),
+            int(self.max_usage[index]),
+            int(self.min_usage[index]),
+            int(self.max_difference[index]),
+            float(self.r_diff[index]),
+            self.layer[index],
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            return self.layer == other.layer and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("iteration", "tiles_seen", "max_usage", "min_usage")
+            )
+        if isinstance(other, SequenceABC):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} points)"
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of a multi-iteration wear-leveling run."""
@@ -75,7 +198,7 @@ class RunResult:
     accelerator_name: str
     iterations: int
     counts: np.ndarray
-    trace: Sequence[TracePoint] = field(default_factory=tuple)
+    trace: Trace = field(default_factory=Trace)
     snapshots: Optional[Sequence[np.ndarray]] = None
     final_state: Tuple[int, int] = (0, 0)
     #: Wear-out failures observed during the run (empty without faults).
@@ -106,12 +229,12 @@ class RunResult:
         return diff / self.min_usage
 
     def max_difference_trace(self) -> np.ndarray:
-        """``D_max`` after each iteration (Fig. 6a/6b series)."""
-        return np.array([point.max_difference for point in self.trace], dtype=np.int64)
+        """``D_max`` after each iteration (Fig. 6a/6b series, read-only)."""
+        return self.trace.max_difference
 
     def r_diff_trace(self) -> np.ndarray:
-        """``R_diff`` after each iteration (Fig. 7 series)."""
-        return np.array([point.r_diff for point in self.trace], dtype=float)
+        """``R_diff`` after each iteration (Fig. 7 series, read-only)."""
+        return self.trace.r_diff
 
 
 class WearLevelingEngine:
@@ -590,23 +713,25 @@ class WearLevelingEngine:
         stop_after_deaths: Optional[int],
     ) -> RunResult:
         """The reference path: one Python pass per iteration."""
-        trace: Optional[List[TracePoint]] = [] if record_trace else None
+        rows: List[Tuple[int, int, int, int]] = []
+        layers: Optional[List[str]] = (
+            [] if record_trace and trace_granularity == "layer" else None
+        )
         snapshots: Optional[List[np.ndarray]] = (
             [] if record_snapshots else None
         )
         executed = 0
         for iteration in range(1, iterations + 1):
             self._iteration = iteration
-            if record_trace and trace_granularity == "layer":
+            if layers is not None:
                 for stream in streams:
                     self.run_layer(stream)
-                    trace.append(
-                        self._trace_point(iteration, stream.layer_name)
-                    )
+                    rows.append(self._trace_row(iteration))
+                    layers.append(stream.layer_name)
             else:
                 self.run_network(streams)
                 if record_trace:
-                    trace.append(self._trace_point(iteration))
+                    rows.append(self._trace_row(iteration))
             if record_snapshots:
                 snapshots.append(self._tracker.snapshot())
             executed = iteration
@@ -615,6 +740,7 @@ class WearLevelingEngine:
                 and len(self._death_events) >= stop_after_deaths
             ):
                 break
+        trace = Trace(*_row_columns(rows), layer=layers) if record_trace else None
         return self._result(executed, trace, snapshots)
 
     # ------------------------------------------------------------------
@@ -758,10 +884,11 @@ class WearLevelingEngine:
         :meth:`_shared_records`) and applied to the live ledger; once
         the orbit closes, all remaining iterations fold into
         ``q x (cycle delta) + prefix(remainder)`` — two array additions
-        — and the remainder trace (when requested) comes from the
-        vectorized affine extrema of
-        :func:`repro.core.analytic.cycle_trace_extrema`. Snapshots of
-        the remainder are ``base + (m // L) x C + prefix[m % L]``.
+        — and the remainder's trace columns (when requested) are
+        computed whole: extrema from the vectorized affine
+        :func:`repro.core.analytic.cycle_trace_extrema`, tiles as
+        ``base + (m // L) x T + prefix_tiles[m % L]``. Snapshots of the
+        remainder are ``base + (m // L) x C + prefix[m % L]``.
         """
         per_iter_nominal = sum(stream.num_tiles for stream in streams)
         shapes = [
@@ -777,7 +904,7 @@ class WearLevelingEngine:
             order.append(state)
             state = record.exit_state
 
-        trace: Optional[List[TracePoint]] = [] if record_trace else None
+        rows: List[Tuple[int, int, int, int]] = []
         snapshots: Optional[List[np.ndarray]] = (
             [] if record_snapshots else None
         )
@@ -790,37 +917,31 @@ class WearLevelingEngine:
             self._state = record.exit_state
             self._nominal_tiles += per_iter_nominal
             self._executed_slots += record.slots
-            if trace is not None:
-                trace.append(self._trace_point(index))
+            if record_trace:
+                rows.append(self._trace_row(index))
             if snapshots is not None:
                 snapshots.append(self._tracker.snapshot())
 
         executed = len(order)
+        columns = _row_columns(rows)
         remaining = iterations - executed
         if remaining > 0:
             start = order.index(state)
             cycle_table = build_cycle_table([table[s] for s in order[start:]])
-            if trace is not None:
+            if record_trace:
                 maxima, minima = cycle_trace_extrema(
                     self._tracker.counts, cycle_table, remaining
                 )
-                base_tiles = self._tracker.tiles_seen
-                length = cycle_table.length
-                for m in range(1, remaining + 1):
-                    whole, part = divmod(m, length)
-                    tiles_m = (
-                        base_tiles
-                        + whole * cycle_table.total_tiles
-                        + int(cycle_table.prefix_tiles[part])
-                    )
-                    trace.append(
-                        _trace_point_from(
-                            executed + m,
-                            tiles_m,
-                            int(maxima[m - 1]),
-                            int(minima[m - 1]),
-                        )
-                    )
+                m = np.arange(1, remaining + 1, dtype=np.int64)
+                whole, part = np.divmod(m, cycle_table.length)
+                tiles = (
+                    self._tracker.tiles_seen
+                    + whole * cycle_table.total_tiles
+                    + cycle_table.prefix_tiles[part]
+                )
+                columns = np.hstack(
+                    (columns, np.stack((executed + m, tiles, maxima, minima)))
+                )
             if snapshots is not None:
                 base = self._tracker.snapshot()
                 for m in range(1, remaining + 1):
@@ -837,6 +958,7 @@ class WearLevelingEngine:
             self._state = order[start + (remaining % cycle_table.length)]
             executed = iterations
             self._iteration = iterations
+        trace = Trace(*columns) if record_trace else None
         return self._result(executed, trace, snapshots)
 
     def _run_analytic_budgeted(
@@ -919,17 +1041,15 @@ class WearLevelingEngine:
             )
         return self._result(executed, None, None)
 
-    def _trace_point(self, iteration: int, layer: str = "") -> TracePoint:
-        """Imbalance metrics of the live ledger as one trace point."""
+    def _trace_row(self, iteration: int) -> Tuple[int, int, int, int]:
+        """``(iteration, tiles_seen, max, min)`` of the live ledger."""
         high, low = self._tracker.extrema()
-        return _trace_point_from(
-            iteration, self._tracker.tiles_seen, high, low, layer
-        )
+        return (iteration, self._tracker.tiles_seen, high, low)
 
     def _result(
         self,
         executed: int,
-        trace: Optional[List[TracePoint]],
+        trace: Optional[Trace],
         snapshots: Optional[List[np.ndarray]],
     ) -> RunResult:
         """Assemble the :class:`RunResult` of a finished run."""
@@ -941,7 +1061,7 @@ class WearLevelingEngine:
             accelerator_name=self._accelerator.name,
             iterations=executed,
             counts=self._tracker.snapshot(),
-            trace=tuple(trace) if trace is not None else (),
+            trace=trace if trace is not None else Trace(),
             snapshots=tuple(snapshots) if snapshots is not None else None,
             final_state=self._state,
             death_events=self.death_events,
@@ -950,31 +1070,9 @@ class WearLevelingEngine:
         )
 
 
-def _trace_point_from(
-    iteration: int, tiles_seen: int, high: int, low: int, layer: str = ""
-) -> TracePoint:
-    """Build a :class:`TracePoint` from a ``(max, min)`` usage pair.
-
-    Centralizes the ``R_diff`` branching so the iterative path (live
-    tracker metrics) and the analytic remainder trace (vectorized
-    extrema) derive the float identically.
-    """
-    diff = high - low
-    if diff == 0:
-        r_diff = 0.0
-    elif low == 0:
-        r_diff = float("inf")
-    else:
-        r_diff = diff / low
-    return TracePoint(
-        iteration=iteration,
-        tiles_seen=tiles_seen,
-        max_usage=high,
-        min_usage=low,
-        max_difference=diff,
-        r_diff=r_diff,
-        layer=layer,
-    )
+def _row_columns(rows: List[Tuple[int, int, int, int]]) -> np.ndarray:
+    """``(4, n)`` int64 columns of ``_trace_row`` tuples."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
 
 def simulate_policy(

@@ -90,7 +90,7 @@ class UsageTracker:
         # so the cache starts valid; mutators invalidate it (or shift it
         # in place when the applied delta is uniform), and the metric
         # properties recompute it with one max + one min reduction
-        # instead of the handful of full scans a TracePoint used to pay.
+        # instead of a full scan per metric.
         self._extrema: Optional[Tuple[int, int]] = (0, 0)
 
     @property
@@ -244,7 +244,7 @@ class UsageTracker:
         """Current ``(max, min)`` usage counts, cached between mutations.
 
         All four imbalance metrics derive from this pair, so recording a
-        :class:`~repro.core.engine.TracePoint` costs at most one max and
+        :class:`~repro.core.engine.Trace` row costs at most one max and
         one min reduction — and zero when the last delta was uniform.
         """
         if self._extrema is None:

@@ -7,7 +7,8 @@ dashboards, regression trackers, and ``rota <cmd> --json`` can consume
 results without scraping tables:
 
 * :func:`to_jsonable` — one shared recursive converter (numpy arrays →
-  lists, nested dataclasses → dicts, enums → values, paths → strings);
+  lists, nested dataclasses → dicts, enums → values, paths → strings,
+  engine traces → one dict per point);
 * :class:`JsonResultMixin` — gives a result dataclass a ``to_dict()``
   built on that converter, tagged with the concrete result type;
 * :class:`ExperimentResult` — the structural protocol the registry and
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import PurePath
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 try:  # pragma: no cover - typing.Protocol is 3.8+; repo floor is 3.9
     from typing import Protocol, runtime_checkable
@@ -37,12 +39,20 @@ except ImportError:  # pragma: no cover
 __all__ = ["ExperimentResult", "JsonResultMixin", "to_jsonable"]
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass's field names, looked up once per class."""
+    return tuple(field_.name for field_ in fields(cls))
+
+
 def to_jsonable(value: Any) -> Any:
     """Convert a result value into JSON-serializable plain data.
 
     Handles the types experiment results are built from: primitives,
     numpy scalars/arrays (``tolist()``), enums (their values), paths
-    (strings), dataclasses (field dicts, recursively), and containers.
+    (strings), dataclasses (field dicts, recursively), containers, and
+    engine :class:`~repro.core.engine.Trace` columns (one
+    :class:`~repro.core.engine.TracePoint` field dict per point).
     Dict keys become strings, as JSON requires. Anything else raises
     ``TypeError`` — a result holding an unconvertible object is a bug,
     not something to ``repr`` away silently.
@@ -60,7 +70,10 @@ def to_jsonable(value: Any) -> Any:
             return value.tolist()
         return value.item()
     if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
+        return {
+            name: to_jsonable(getattr(value, name))
+            for name in _field_names(type(value))
+        }
     if isinstance(value, dict):
         return {str(key): to_jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -68,6 +81,12 @@ def to_jsonable(value: Any) -> Any:
         if isinstance(value, (set, frozenset)):
             items.sort(key=repr)
         return [to_jsonable(item) for item in items]
+    from repro.core.engine import Trace, TracePoint
+
+    if isinstance(value, Trace):
+        # The columns are already plain ints/floats/strs: one zip pass.
+        names = _field_names(TracePoint)
+        return [dict(zip(names, row)) for row in zip(*value.columns())]
     raise TypeError(
         f"cannot convert {type(value).__name__} to JSON-safe data; "
         f"experiment results must be built from plain data"
@@ -90,8 +109,8 @@ class JsonResultMixin:
                 f"JsonResultMixin"
             )
         payload: Dict[str, Any] = {"result": type(self).__name__}
-        for field_ in fields(self):
-            payload[field_.name] = to_jsonable(getattr(self, field_.name))
+        for name in _field_names(type(self)):
+            payload[name] = to_jsonable(getattr(self, name))
         return payload
 
 

@@ -32,7 +32,9 @@ from repro.runtime.memo import Memo
 #: produces different counts for the same inputs). Part of every key, so
 #: stale entries from older code miss instead of aliasing.
 #: 3: RunManifest grew resilience counters and per-task retry flags.
-CACHE_SCHEMA_VERSION = 3
+#: 4: RunResult.trace became a columnar Trace instead of a tuple of
+#: TracePoints.
+CACHE_SCHEMA_VERSION = 4
 
 
 def _tokenize(value: Any) -> Any:

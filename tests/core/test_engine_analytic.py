@@ -57,9 +57,25 @@ def random_streams(draw, w, h, max_layers=4):
     return streams
 
 
+INT_TRACE_COLUMNS = (
+    "iteration", "tiles_seen", "max_usage", "min_usage", "max_difference"
+)
+
+
+def assert_same_trace(expected, actual):
+    """Every trace column identical, array-wise (``inf`` R_diff included)."""
+    for name in INT_TRACE_COLUMNS:
+        assert getattr(actual, name).dtype == np.int64
+        assert np.array_equal(getattr(expected, name), getattr(actual, name))
+    assert actual.r_diff.dtype == np.float64
+    assert np.array_equal(expected.r_diff, actual.r_diff)
+    assert expected.layer == actual.layer
+    assert expected == actual
+
+
 def assert_equivalent(iterative, analytic):
     assert np.array_equal(iterative.counts, analytic.counts)
-    assert iterative.trace == analytic.trace
+    assert_same_trace(iterative.trace, analytic.trace)
     assert iterative.final_state == analytic.final_state
     assert iterative.iterations == analytic.iterations
     assert iterative.death_events == analytic.death_events
