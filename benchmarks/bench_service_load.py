@@ -41,7 +41,7 @@ if str(_SRC) not in sys.path:
 
 def _parse_args(argv=None):
     parser = argparse.ArgumentParser(
-        description="open-loop load test for rota gateway / rota serve"
+        description="open-loop load test for rota gateway"
     )
     parser.add_argument(
         "--smoke",

@@ -25,8 +25,9 @@ Sections
     sampled endurance-budget fields).
 ``service``
     Submit-to-result latency through the in-process
-    :class:`~repro.service.api.ServiceAPI` — the HTTP surface minus the
-    socket — reported as p50/p99 milliseconds.
+    :class:`~repro.gateway.api.GatewayAPI` over a 2-process ``fork``
+    :class:`~repro.gateway.jobs.GatewayJobManager` — the HTTP surface
+    minus the socket — reported as p50/p99 milliseconds.
 ``mapping_search``
     Beam-search throughput over one real-size conv layer (candidates
     evaluated per second, wear profiles included) and the wall-clock
@@ -34,11 +35,10 @@ Sections
     generate-and-test on a small layer.
 ``service_load``
     Open-loop duplicated-traffic load (seeded fleet-traffic arrivals
-    over real HTTP) against a 4-process ``rota gateway`` and against a
-    single-inflight ``rota serve`` baseline: sustained RPS, p99
-    latency, coalesce ratio, and the gateway-over-serve throughput
-    speedup. Both services run with every result cache disabled so the
-    comparison prices executions, not cache reads.
+    over real HTTP) against a 4-process ``rota gateway``: sustained
+    RPS, p99 latency, and coalesce ratio. The gateway runs with every
+    result cache disabled so the run prices executions, not cache
+    reads.
 
 Cache hit rate is collected over the fleet section (the profile
 memoization path) via :func:`repro.runtime.observe.collect_metrics`.
@@ -447,9 +447,9 @@ def _bench_faults(config: BenchConfig) -> List[Metric]:
 
 
 def _bench_service(config: BenchConfig) -> List[Metric]:
-    """Submit-to-result latency through the in-process service API."""
-    from repro.service.api import ServiceAPI
-    from repro.service.jobs import JobManager
+    """Submit-to-result latency through the in-process gateway API."""
+    from repro.gateway.api import GatewayAPI
+    from repro.gateway.jobs import GatewayJobManager
 
     def submit_and_wait(api):
         start = time.perf_counter()
@@ -470,9 +470,9 @@ def _bench_service(config: BenchConfig) -> List[Metric]:
             )
         return (time.perf_counter() - start) * 1000.0
 
-    manager = JobManager(workers=2)
+    manager = GatewayJobManager(workers=2, start_method="fork")
     manager.start()
-    api = ServiceAPI(manager)
+    api = GatewayAPI(manager)
     latencies_ms = []
     try:
         # One untimed warmup run pays the experiment's cold cost; the
@@ -567,25 +567,20 @@ def _bench_mapping_search(config: BenchConfig) -> List[Metric]:
 
 
 def _bench_service_load(config: BenchConfig) -> List[Metric]:
-    """Gateway vs single-inflight serve under duplicated open-loop load.
+    """The gateway under duplicated open-loop load.
 
-    The same seeded scenario (fleet-traffic arrivals over a small class
-    set, so identical submissions overlap in flight) is offered to a
-    4-process gateway and to a ``workers=1`` PR-4 thread service — the
-    single-inflight baseline. Both run with their warm cache disabled
-    *and* with ``REPRO_RESULT_CACHE=off`` in the executing processes —
-    the experiments' internal memoization would otherwise collapse
-    every repeat execution to a cache read and the comparison would
-    price nothing. The gateway's advantage is therefore exactly what
-    it adds: multi-process parallelism plus request coalescing.
+    A seeded scenario (fleet-traffic arrivals over a small class set,
+    so identical submissions overlap in flight) is offered to a
+    4-process gateway with its warm cache disabled *and* with
+    ``REPRO_RESULT_CACHE=off`` in the executing processes — the
+    experiments' internal memoization would otherwise collapse every
+    repeat execution to a cache read and the run would price nothing.
     """
     import os
     import tempfile
 
     from repro.gateway.loadgen import LoadScenario, run_load
     from repro.gateway.server import GatewayConfig, GatewayService
-    from repro.runtime import ResultCache
-    from repro.service.server import RotaService, ServiceConfig
 
     scenario = LoadScenario(
         num_requests=config.load_requests, rate_rps=config.load_rate_rps
@@ -605,46 +600,23 @@ def _bench_service_load(config: BenchConfig) -> List[Metric]:
         )
         gateway.start()
         try:
-            gateway_report = run_load(gateway.url, scenario)
+            report = run_load(gateway.url, scenario)
         finally:
             gateway.shutdown()
-
-        serve = RotaService(
-            ServiceConfig(
-                port=0,
-                workers=1,
-                queue_depth=max(256, config.load_requests),
-            ),
-            cache=ResultCache(
-                directory=tempfile.mkdtemp(prefix="rota-bench-serve-"),
-                enabled=False,
-            ),
-        )
-        serve.start()
-        try:
-            serve_report = run_load(serve.url, scenario)
-        finally:
-            serve.shutdown()
     finally:
         if cache_env_before is None:
             os.environ.pop("REPRO_RESULT_CACHE", None)
         else:
             os.environ["REPRO_RESULT_CACHE"] = cache_env_before
 
-    if gateway_report.errors_5xx or serve_report.errors_5xx:
+    if report.errors_5xx:
         raise ConfigurationError(
-            f"load bench saw 5xx responses (gateway "
-            f"{gateway_report.errors_5xx}, serve {serve_report.errors_5xx})"
+            f"load bench saw {report.errors_5xx} 5xx responses"
         )
-    speedup = (
-        gateway_report.sustained_rps / serve_report.sustained_rps
-        if serve_report.sustained_rps
-        else 0.0
-    )
     return [
         Metric(
             "service_load_gateway_rps",
-            gateway_report.sustained_rps,
+            report.sustained_rps,
             "req/s",
             "higher",
             # Sustained RPS is wall-clock-bound: a loaded CI box slows
@@ -653,28 +625,19 @@ def _bench_service_load(config: BenchConfig) -> List[Metric]:
         ),
         Metric(
             "service_load_gateway_p99_ms",
-            gateway_report.p99_ms,
+            report.p99_ms,
             "ms",
             "lower",
             atol=1000.0,
         ),
         Metric(
             "service_load_coalesce_ratio",
-            gateway_report.coalesce_ratio,
+            report.coalesce_ratio,
             "ratio",
             "higher",
             # The ratio depends on in-flight overlap, which timing
             # jitter shifts by a request or two per run.
             atol=0.1,
-        ),
-        Metric(
-            "service_load_speedup_vs_serve",
-            speedup,
-            "x",
-            "higher",
-            # The multiple stays well above the 4x floor, but its exact
-            # value moves with how much backlog the run accumulates.
-            atol=3.0,
         ),
     ]
 

@@ -12,11 +12,11 @@ Driver modules import lazily: ``rota --help``, ``rota list``, and
 of the scheduler stack behind one).
 
 ``rota all`` runs the full evaluation section in order; the utility
-subcommands (``export``, ``report``, ``cache``, ``serve``) stay
+subcommands (``export``, ``report``, ``cache``, ``gateway``) stay
 hand-written because they orchestrate files or processes rather than
-run one experiment. ``rota serve`` exposes the same registry over HTTP
-(see :mod:`repro.service`); ``rota gateway`` is its multi-process,
-coalescing production twin (see :mod:`repro.gateway`).
+run one experiment. ``rota gateway`` (alias ``rota serve``) exposes the
+same registry over HTTP through a pool of worker processes (see
+:mod:`repro.gateway`).
 """
 
 from __future__ import annotations
@@ -236,22 +236,6 @@ def _cmd_bench(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_serve(args: argparse.Namespace) -> str:
-    from repro.service import ServiceConfig, serve
-
-    return serve(
-        ServiceConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.jobs,
-            queue_depth=args.queue_depth,
-            request_timeout=args.request_timeout,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-        )
-    )
-
-
 def _cmd_gateway(args: argparse.Namespace) -> str:
     from repro.gateway import GatewayConfig, serve_gateway
 
@@ -456,64 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
-        "serve",
-        help=(
-            "long-running HTTP service: registry-driven experiment API "
-            "with a job queue and live /metrics"
-        ),
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--port", type=int, default=8753, help="bind port")
-    p.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=2,
-        help="worker threads executing queued runs",
-    )
-    p.add_argument(
-        "--queue-depth",
-        type=int,
-        default=32,
-        metavar="N",
-        help="max queued (not yet running) jobs before 429 backpressure",
-    )
-    p.add_argument(
-        "--request-timeout",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help=(
-            "per-request socket timeout and per-job wall-clock budget; "
-            "an overrunning job flips to state 'timeout' (HTTP 504)"
-        ),
-    )
-    p.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=5,
-        metavar="N",
-        help=(
-            "consecutive job failures that open the circuit breaker "
-            "(submissions then shed with 503 + Retry-After)"
-        ),
-    )
-    p.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="seconds the breaker stays open before a half-open probe",
-    )
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
         "gateway",
+        aliases=["serve"],
         help=(
-            "production serving front door: asyncio HTTP over N worker "
-            "processes with request coalescing, SSE progress streams, "
+            "HTTP service over the experiment registry: asyncio front end, "
+            "N worker processes, request coalescing, SSE progress streams, "
             "and tiered backpressure"
         ),
+        description="`rota serve` is an alias of `rota gateway`.",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=8764, help="bind port")

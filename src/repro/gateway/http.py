@@ -7,9 +7,9 @@ in the worker processes, and the API layer only touches in-memory job
 state under short critical sections. The transport stays deliberately
 small:
 
-* ordinary routes parse the request, call :meth:`ServiceAPI.handle`
-  (the exact contract ``rota serve`` uses), and write one JSON
-  document with ``Connection: close``;
+* ordinary routes parse the request, call :meth:`GatewayAPI.handle`
+  (the transport-free contract the unit tests drive), and write one
+  JSON document with ``Connection: close``;
 * ``GET /v1/runs/<id>/events`` with ``Accept: text/event-stream`` is
   upgraded to a live SSE stream: the journal replay and the
   subscription are atomic (no gaps, no duplicates), events carry
@@ -18,7 +18,7 @@ small:
   stream closes itself after the terminal event;
 * a 304 is written with no body and no content type (RFC 9110).
 
-HTTP parsing accepts exactly what the service's clients send: a request
+HTTP parsing accepts exactly what the gateway's clients send: a request
 line, ``\\r\\n``-separated headers, and an optional ``Content-Length``
 JSON body. Anything malformed gets a structured 400, never a stack
 trace.
@@ -30,8 +30,8 @@ import asyncio
 import json
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.service.api import ApiResponse, ServiceAPI
-from repro.service.jobs import JobState, UnknownJobError
+from repro.gateway.api import ApiResponse, GatewayAPI
+from repro.gateway.jobs import JobState, UnknownJobError
 
 __all__ = ["AsyncHTTPFrontend"]
 
@@ -63,11 +63,11 @@ class _BadRequest(Exception):
 
 
 class AsyncHTTPFrontend:
-    """Serves :class:`ServiceAPI` over asyncio, with the SSE upgrade."""
+    """Serves :class:`GatewayAPI` over asyncio, with the SSE upgrade."""
 
     def __init__(
         self,
-        api: ServiceAPI,
+        api: GatewayAPI,
         host: str = "127.0.0.1",
         port: int = 8764,
         request_timeout: float = 300.0,
@@ -251,13 +251,6 @@ class AsyncHTTPFrontend:
         """
         manager = self._api.manager
         job_id = [part for part in path.split("/") if part][2]
-        subscribe = getattr(manager, "subscribe", None)
-        if subscribe is None:
-            await self._write_response(
-                writer,
-                self._api.handle("GET", path, None, headers),
-            )
-            return
         try:
             cursor = int(headers.get("last-event-id", 0))
         except ValueError:
@@ -272,7 +265,7 @@ class AsyncHTTPFrontend:
             loop.call_soon_threadsafe(pending.put_nowait, event)
 
         try:
-            replay = subscribe(job_id, _listener)
+            replay = manager.subscribe(job_id, _listener)
         except UnknownJobError:
             await self._write_response(
                 writer,
@@ -287,9 +280,7 @@ class AsyncHTTPFrontend:
                 ),
             )
             return
-        record_stream = getattr(manager.metrics, "record_sse_stream", None)
-        if record_stream is not None:
-            record_stream()
+        manager.metrics.record_sse_stream()
         try:
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
@@ -320,11 +311,9 @@ class AsyncHTTPFrontend:
                 if event["seq"] <= cursor:
                     continue
                 terminal = await self._write_event(writer, event)
-            self._api.manager.metrics.record_request(200)
+            manager.metrics.record_request(200)
         finally:
-            unsubscribe = getattr(manager, "unsubscribe", None)
-            if unsubscribe is not None:
-                unsubscribe(job_id, _listener)
+            manager.unsubscribe(job_id, _listener)
 
     @staticmethod
     async def _write_event(

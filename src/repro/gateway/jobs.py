@@ -1,10 +1,12 @@
 """The gateway's job layer: coalesced intake over the process pool.
 
-:class:`GatewayJobManager` is the multi-process, coalescing successor
-of the PR-4 :class:`~repro.service.jobs.JobManager`. It exposes the
-same query surface (``get``/``jobs``/``queue_depth``/
-``running_count``/``worker_health``), so :class:`~repro.service.api.
-ServiceAPI` routes against it unchanged, and adds:
+:class:`GatewayJobManager` validates each submission against
+:mod:`repro.experiments.registry`, keys it by content, and either
+attaches it to an identical in-flight execution or hands it to the
+:class:`~repro.gateway.pool.WorkerProcessPool`. The query surface
+(``get``/``jobs``/``queue_depth``/``running_count``/``worker_health``/
+``events_for``) is what :class:`~repro.gateway.api.GatewayAPI` routes
+against. On top of a plain job queue it provides:
 
 * **request coalescing** — a submission whose content key is already
   executing attaches to the in-flight run (one execution, many
@@ -25,6 +27,9 @@ Thread model: submissions arrive on the asyncio loop (or any thread),
 pool events arrive on the supervisor thread; every mutation happens
 under one lock, and event listeners are invoked under that lock so a
 subscriber observes a consistent, gap-free, monotonic event sequence.
+The pool reports events outside its own lock, so taking the pool's lock
+while holding the manager's (the intake's capacity check) cannot
+deadlock.
 """
 
 from __future__ import annotations
@@ -43,20 +48,22 @@ from repro.experiments.registry import (
     package_version,
     validate_params,
 )
+from repro.experiments.result import to_jsonable
 from repro.gateway.coalesce import Coalescer
 from repro.gateway.metrics import GatewayMetrics
 from repro.gateway.pool import PoolEvent, WorkerProcessPool
 from repro.resilience import CircuitBreaker
 from repro.runtime import CACHE_SCHEMA_VERSION, content_hash
-from repro.service.jobs import (
-    Job,
-    JobState,
-    QueueFullError,
-    ServiceStoppedError,
-    UnknownJobError,
-)
 
-__all__ = ["GatewayJob", "GatewayJobManager", "TIERS"]
+__all__ = [
+    "GatewayJobManager",
+    "Job",
+    "JobState",
+    "QueueFullError",
+    "ServiceStoppedError",
+    "TIERS",
+    "UnknownJobError",
+]
 
 #: Backpressure tiers, most to least permissive.
 TIERS = ("accept", "coalesce-only", "shed", "draining")
@@ -64,12 +71,60 @@ TIERS = ("accept", "coalesce-only", "shed", "draining")
 Listener = Callable[[Dict[str, Any]], None]
 
 
-@dataclass
-class GatewayJob(Job):
-    """One gateway submission (mutated only under the manager lock)."""
+class QueueFullError(ReproError):
+    """The execution queue is at capacity; the submission was rejected.
 
+    ``retry_after`` is the backpressure hint (seconds) the API surfaces
+    as a ``Retry-After`` header — computed from the current queue depth
+    and the observed per-job service rate, not a constant.
+    """
+
+    def __init__(self, message: str, retry_after: int = 1) -> None:
+        self.retry_after = retry_after
+        super().__init__(message)
+
+
+class ServiceStoppedError(ReproError):
+    """The gateway is shutting down and no longer accepts submissions."""
+
+
+class UnknownJobError(ReproError):
+    """No job with the requested id exists."""
+
+
+class JobState:
+    """The job lifecycle: queued → running → done / failed / cancelled / timeout."""
+
+    QUEUED = "queued"
+    RUNNING = "running"
+    DONE = "done"
+    FAILED = "failed"
+    CANCELLED = "cancelled"
+    TIMEOUT = "timeout"
+
+    #: States a job can never leave.
+    TERMINAL = (DONE, FAILED, CANCELLED, TIMEOUT)
+
+
+@dataclass
+class Job:
+    """One submitted experiment run (mutated only under the manager lock)."""
+
+    id: str
+    spec_id: str
+    params: Dict[str, Any]
+    created_at: float
     #: Content key of the run (coalescing and warm-cache identity).
-    key: str = ""
+    key: str
+    state: str = JobState.QUEUED
+    cached: bool = False
+    started_at: Optional[float] = None
+    finished_at: Optional[float] = None
+    error: Optional[Dict[str, str]] = None
+    payload: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: Bumped on every observable mutation; the basis of the detail
+    #: endpoint's ``ETag`` (pollers sending ``If-None-Match`` get 304).
+    version: int = 1
     #: True when this submission attached to an in-flight execution.
     coalesced: bool = False
     #: The job owning the execution this one attached to (or ``None``).
@@ -79,21 +134,72 @@ class GatewayJob(Job):
     #: Live event listeners (SSE subscribers).
     listeners: List[Listener] = field(default_factory=list, repr=False)
 
+    @property
+    def done(self) -> bool:
+        """Whether the job reached a terminal state."""
+        return self.state in JobState.TERMINAL
+
+    @property
+    def etag(self) -> str:
+        """The strong entity tag of the job's current state."""
+        return f'"{self.id}-v{self.version}"'
+
     def summary(self) -> Dict[str, Any]:
-        body = super().summary()
-        body["coalesced"] = self.coalesced
-        body["version"] = self.version
+        """JSON-ready status view (no result body — list endpoints)."""
+        return {
+            "id": self.id,
+            "spec_id": self.spec_id,
+            "params": to_jsonable(self.params),
+            "state": self.state,
+            "cached": self.cached,
+            "coalesced": self.coalesced,
+            "created_at": self.created_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "error": self.error,
+            "version": self.version,
+        }
+
+    def detail(self) -> Dict[str, Any]:
+        """JSON-ready full view, including result and manifest when done."""
+        body = self.summary()
+        body["result"] = None if self.payload is None else self.payload["result"]
+        body["manifest"] = (
+            None if self.payload is None else self.payload["manifest"]
+        )
         return body
 
 
 class GatewayJobManager:
     """Coalesced, back-pressured intake over a worker-process pool.
 
-    Parameters mirror :class:`~repro.service.jobs.JobManager` where the
-    concepts match; the additions are ``task_attempts`` (worker-crash
-    retries before a key is quarantined), ``start_method`` (the
-    ``multiprocessing`` start method), and ``cache_dir`` (an explicit
-    warm-hit store handed to the worker processes).
+    Parameters
+    ----------
+    workers:
+        Worker processes executing runs (one experiment each at a time).
+    queue_depth:
+        Maximum number of unique executions accepted but not yet on a
+        worker; beyond it unique submissions raise
+        :class:`QueueFullError` (identical in-flight ones still attach).
+    metrics:
+        The gateway-wide counter sink (a fresh one when omitted).
+    job_timeout:
+        Wall-clock budget per execution, in seconds. An overrunning
+        worker is terminated and its jobs flip to
+        :attr:`JobState.TIMEOUT` (the API maps it to 504); ``None``
+        disables the deadline.
+    breaker:
+        Optional :class:`~repro.resilience.CircuitBreaker`. Execution
+        failures and timeouts feed it; while it is open, unique
+        submissions raise :class:`~repro.resilience.CircuitOpenError`
+        (the API maps it to 503 + ``Retry-After``).
+    task_attempts:
+        Dispatches of one task before a worker crash quarantines its key.
+    cache_dir / cache_enabled:
+        Explicit warm-hit store handed to the worker processes
+        (``None`` resolves the environment default per worker).
+    start_method:
+        ``multiprocessing`` start method of the workers.
     """
 
     def __init__(
@@ -115,7 +221,7 @@ class GatewayJobManager:
         self._workers = workers
         self._queue_depth = queue_depth
         self._lock = threading.Lock()
-        self._jobs: Dict[str, GatewayJob] = {}
+        self._jobs: Dict[str, Job] = {}
         self._counter = itertools.count(1)
         self._stop = threading.Event()
         self._coalescer = Coalescer()
@@ -145,14 +251,16 @@ class GatewayJobManager:
 
     def submit(
         self, spec_id: str, raw_params: Optional[Dict[str, Any]]
-    ) -> GatewayJob:
+    ) -> Job:
         """Validate, coalesce or enqueue one run; returns the job.
 
-        Raises the same error family as the thread service —
-        :class:`ServiceStoppedError` (503), :class:`~repro.resilience.
-        CircuitOpenError` (503), :class:`QueueFullError` (429) — plus
-        :class:`~repro.resilience.PoisonedTaskError` for a quarantined
-        content key.
+        Raises :class:`~repro.errors.ConfigurationError` for an unknown
+        experiment, :class:`~repro.experiments.registry.
+        ParamValidationError` for a bad body, :class:`ServiceStoppedError`
+        during shutdown (503), :class:`~repro.resilience.CircuitOpenError`
+        while the breaker sheds (503), :class:`QueueFullError` when the
+        queue is at capacity (429), and :class:`~repro.resilience.
+        PoisonedTaskError` for a quarantined content key (422).
         """
         spec = get_spec(spec_id)
         params = validate_params(spec, raw_params if raw_params is not None else {})
@@ -160,53 +268,58 @@ class GatewayJobManager:
             raise ServiceStoppedError("gateway is shutting down")
         key = self._content_key(spec.id, params)
         self._coalescer.check_quarantine(key)
-        job = GatewayJob(
+        job = Job(
             id=f"run-{next(self._counter):06d}-{uuid.uuid4().hex[:8]}",
             spec_id=spec.id,
             params=params,
             created_at=time.time(),
             key=key,
         )
+        # Attach-or-open is one decision under one lock hold: were the
+        # lock released between a missed attach and the open, an
+        # identical submission could open the key in between, and this
+        # open would then orphan the followers attached to it.
         with self._lock:
             # Tier 1.5: attach to an identical in-flight execution. This
             # stays open through the coalesce-only tier — attaching costs
             # no queue slot and no worker.
             primary_id = self._coalescer.attach(key, job.id)
-            if primary_id is not None:
-                primary = self._jobs.get(primary_id)
+            if primary_id is None:
+                # Unique work: subject to the breaker and the bounded queue.
+                if self.breaker is not None:
+                    self.breaker.check()
+                if self._pool.pending_count() >= self._queue_depth:
+                    self.metrics.record_rejected()
+                    raise QueueFullError(
+                        f"gateway queue is full ({self._queue_depth} "
+                        f"pending); identical in-flight submissions still "
+                        f"coalesce",
+                        retry_after=self.retry_after_seconds(),
+                    )
+                self._coalescer.open(key, job.id)
+            else:
                 job.coalesced = True
                 job.primary_id = primary_id
-                self._jobs[job.id] = job
-                self._publish_locked(job, JobState.QUEUED)
+            self._jobs[job.id] = job
+            self._publish_locked(job, JobState.QUEUED)
+            self.metrics.record_submitted()
+            if primary_id is not None:
+                primary = self._jobs.get(primary_id)
                 if primary is not None and primary.state == JobState.RUNNING:
                     job.state = JobState.RUNNING
                     job.started_at = primary.started_at
                     job.version += 1
                     self._publish_locked(job, JobState.RUNNING)
-                self.metrics.record_submitted()
                 self.metrics.record_coalesced()
                 return job
-        # Unique work: subject to the breaker and the bounded queue.
-        if self.breaker is not None:
-            self.breaker.check()
-        if self._pool.pending_count() >= self._queue_depth:
-            self.metrics.record_rejected()
-            raise QueueFullError(
-                f"gateway queue is full ({self._queue_depth} pending); "
-                f"identical in-flight submissions still coalesce",
-                retry_after=self.retry_after_seconds(),
-            )
-        with self._lock:
-            self._jobs[job.id] = job
-            self._coalescer.open(key, job.id)
-            self._publish_locked(job, JobState.QUEUED)
+        # Outside the lock: a draining pool reports the task cancelled
+        # through the event callback, which takes the lock itself.
         self._pool.submit(job.id, job.spec_id, job.params, key)
-        self.metrics.record_submitted()
         self.metrics.record_execution()
         return job
 
     def _content_key(self, spec_id: str, params: Dict[str, Any]) -> str:
-        """Same content key as the PR-4 warm cache (shared identity)."""
+        """Content key of one run: the coalescing and warm-cache identity."""
         return content_hash(
             "service-run",
             CACHE_SCHEMA_VERSION,
@@ -215,9 +328,9 @@ class GatewayJobManager:
             params,
         )
 
-    # -- queries (ServiceAPI contract) --------------------------------------
+    # -- queries (GatewayAPI contract) --------------------------------------
 
-    def get(self, job_id: str) -> GatewayJob:
+    def get(self, job_id: str) -> Job:
         """Look up one job by id."""
         with self._lock:
             try:
@@ -225,7 +338,7 @@ class GatewayJobManager:
             except KeyError:
                 raise UnknownJobError(f"unknown job {job_id!r}") from None
 
-    def jobs(self) -> List[GatewayJob]:
+    def jobs(self) -> List[Job]:
         """Every known job, oldest first."""
         with self._lock:
             return sorted(self._jobs.values(), key=lambda job: job.created_at)
@@ -262,8 +375,9 @@ class GatewayJobManager:
         """Backpressure hint for 429 responses (computed, clamped).
 
         Outstanding executions divided by the pool's observed service
-        rate (EMA over ``workers`` lanes), clamped to [1, 60] — the
-        same estimator the thread service now uses.
+        rate (EMA over ``workers`` lanes), clamped to [1, 60]. Before
+        any job has completed there is no rate estimate and the hint
+        stays at the 1-second floor.
         """
         ema = self.metrics.estimated_job_seconds()
         if ema is None:
@@ -306,7 +420,7 @@ class GatewayJobManager:
             except ValueError:
                 pass
 
-    def _publish_locked(self, job: GatewayJob, state: str) -> None:
+    def _publish_locked(self, job: Job, state: str) -> None:
         """Append one event to the job's journal and notify listeners."""
         event: Dict[str, Any] = {
             "seq": len(job.events) + 1,
@@ -327,7 +441,7 @@ class GatewayJobManager:
 
     # -- pool event handling (supervisor thread) ----------------------------
 
-    def _family(self, task_id: str) -> List[GatewayJob]:
+    def _family(self, task_id: str) -> List[Job]:
         """The primary job plus every follower attached to its key."""
         primary = self._jobs.get(task_id)
         if primary is None:
@@ -426,7 +540,7 @@ class GatewayJobManager:
             self.breaker.record_success()
 
     @staticmethod
-    def _job_seconds(primary: Optional[GatewayJob]) -> float:
+    def _job_seconds(primary: Optional[Job]) -> float:
         if primary is None or primary.started_at is None:
             return 0.0
         finished = primary.finished_at or time.time()

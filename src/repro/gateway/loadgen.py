@@ -2,8 +2,8 @@
 
 The generator reuses the fleet simulator's arrival processes
 (:mod:`repro.fleet.traffic`) to offer traffic to a *real* HTTP endpoint
-— ``rota gateway`` or the PR-4 ``rota serve`` — and measures what the
-service actually sustains. Open-loop means arrivals never wait for
+— a running ``rota gateway`` — and measures what the service actually
+sustains. Open-loop means arrivals never wait for
 completions: a request is fired at its scheduled offset regardless of
 backlog, which is the regime where backpressure tiers and coalescing
 matter (a closed-loop client self-throttles and hides both).
@@ -184,8 +184,7 @@ class LoadReport:
 
 # ---------------------------------------------------------------------------
 # Minimal asyncio HTTP client (connection per request, like the clients
-# the service targets; works against both the gateway's asyncio front
-# end and the stdlib threading server behind ``rota serve``).
+# the gateway targets).
 # ---------------------------------------------------------------------------
 
 
@@ -307,7 +306,7 @@ async def _drive_one(
 
 
 def _gateway_counters(metrics: Optional[Dict[str, Any]]) -> Dict[str, int]:
-    """Coalescing counters from a ``/metrics`` body (0s for ``serve``)."""
+    """Coalescing counters from a ``/metrics`` body (0s where absent)."""
     section = (metrics or {}).get("gateway") or {}
     jobs = (metrics or {}).get("jobs") or {}
     return {

@@ -1,10 +1,9 @@
 """The gateway's supervised worker-process pool.
 
-Where the PR-4 service executed jobs on worker *threads* inside the
-HTTP process, the gateway runs them in N dedicated worker *processes*:
-one experiment at a time per worker, dispatched over a per-worker task
-queue, results and lifecycle events flowing back over one shared event
-queue. A supervisor thread in the gateway process owns the pool state
+The gateway runs experiments in N dedicated worker *processes*, not on
+threads of the HTTP process: one experiment at a time per worker,
+dispatched over a per-worker task queue, results and lifecycle events
+flowing back over one shared event queue. A supervisor thread in the gateway process owns the pool state
 and provides the resilience guarantees the serving front door needs:
 
 * **ready handshake** — a worker announces itself only after it has
@@ -22,9 +21,9 @@ and provides the resilience guarantees the serving front door needs:
   :class:`~repro.runtime.parallel.ParallelRunner` applies to batch
   tasks, re-used for serving).
 
-Workers execute through the same ``run_experiment`` + warm-cache path
-as the thread service, so a gateway response is byte-identical to
-``rota <exp> --json`` (modulo manifest timings).
+Workers execute through the same ``run_experiment`` entrypoint as the
+CLI, behind a warm-hit result cache, so a gateway response is
+byte-identical to ``rota <exp> --json`` (modulo manifest timings).
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ GatewayJobManager` over its worker-process pool, the
 :class:`~repro.gateway.api.GatewayAPI`, and the asyncio
 :class:`~repro.gateway.http.AsyncHTTPFrontend` — and owns the event
 loop, which runs on a dedicated background thread so ``start()`` /
-``shutdown()`` stay plain synchronous calls (same ergonomics as
-:class:`~repro.service.server.RotaService`, which the tests lean on).
+``shutdown()`` stay plain synchronous calls.
 
-:func:`serve_gateway` is the CLI entrypoint: print one listening line,
-park on a shutdown event, and drain gracefully when SIGTERM *or*
-SIGINT arrives — both signals take the identical path: stop accepting,
-let running executions finish, cancel queued ones, close streams.
+:func:`serve_gateway` is the CLI entrypoint (``rota gateway`` and its
+alias ``rota serve``): print one listening line, park on a shutdown
+event, and drain gracefully when SIGTERM *or* SIGINT arrives — both
+signals take the identical path: stop accepting, let running
+executions finish, cancel queued ones, close streams.
 """
 
 from __future__ import annotations
@@ -37,11 +37,16 @@ __all__ = ["GatewayConfig", "GatewayService", "serve_gateway"]
 class GatewayConfig:
     """Tunables of one ``rota gateway`` process.
 
-    The serving knobs mirror :class:`~repro.service.server.
-    ServiceConfig`; the gateway adds ``task_attempts`` (worker-crash
-    retries before a content key is quarantined) and ``start_method``
-    (how worker processes are spawned — ``spawn`` is the safe default
-    next to the asyncio loop; tests use ``fork`` for speed).
+    ``request_timeout`` is both the per-connection socket timeout and
+    the wall-clock budget of each execution (an overrunning worker is
+    terminated and the run's detail responds 504).
+    ``breaker_threshold`` consecutive execution failures open the
+    circuit breaker, which sheds unique submissions with 503 +
+    ``Retry-After`` until a probe succeeds after ``breaker_cooldown``
+    seconds. ``task_attempts`` bounds worker-crash retries before a
+    content key is quarantined, and ``start_method`` says how worker
+    processes are started — ``spawn`` is the safe default next to the
+    asyncio loop; tests use ``fork`` for speed.
     """
 
     host: str = "127.0.0.1"

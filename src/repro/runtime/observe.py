@@ -15,8 +15,8 @@ parent (worker task wall times are already measured in the parent by
 ``ParallelRunner``), so cache counts reflect the coordinating process.
 
 Scopes are also **thread-local**: each thread keeps its own scope
-stack, so concurrent workers (the ``rota serve`` job executor runs one
-experiment per thread) never interleave each other's counters. A scope
+stack, so code running experiments on several threads of one process
+never interleaves their counters. A scope
 opened in one thread observes only events recorded by that thread;
 single-threaded callers see exactly the old behavior.
 """

@@ -23,13 +23,11 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.cli import build_parser
 from repro.experiments.registry import run_experiment
 from repro.gateway import GatewayConfig, GatewayService
-from repro.runtime import ResultCache
-from repro.service import RotaService, ServiceConfig
-from repro.service.api import ApiResponse
 
-#: Cheap parity sweep, same shape as the ``rota serve`` suite.
+#: Cheap parity sweep: no-param, int-param, and str-param schemas.
 PARITY_CASES = [
     ("table2", {}, {}),
     ("unfold", {"x": 5, "y": 4}, {"x": 5, "y": 4}),
@@ -333,22 +331,15 @@ class TestParity:
         assert detail["result"] == json.loads(json.dumps(direct))
         assert detail["manifest"]["spec_id"] == spec_id
 
-    def test_serve_and_gateway_send_identical_bytes(self, gateway, tmp_path):
-        serve = RotaService(
-            ServiceConfig(port=0, workers=1, queue_depth=2),
-            cache=ResultCache(directory=tmp_path, enabled=True),
-        )
-        serve.start()
-        try:
-            bodies = []
-            for service in (gateway, serve):
-                url = service.url + "/v1/experiments"
-                with urllib.request.urlopen(url, timeout=30) as response:
-                    bodies.append(response.read())
-        finally:
-            serve.shutdown()
-        assert bodies[0] == bodies[1]
-        assert bodies[0] == ApiResponse(200, json.loads(bodies[0])).body()
+    def test_serve_resolves_to_the_gateway_command(self):
+        parser = build_parser()
+        serve = vars(parser.parse_args(["serve"]))
+        gateway = vars(parser.parse_args(["gateway"]))
+        assert serve.pop("command") == "serve"
+        assert gateway.pop("command") == "gateway"
+        # Same handler, same flags, same defaults (port 8764, 4 workers).
+        assert serve == gateway
+        assert (serve["port"], serve["jobs"]) == (8764, 4)
 
     def test_validation_error_shape_matches_serve(self, gateway):
         status, _, body = request(

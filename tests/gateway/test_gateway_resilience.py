@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -21,6 +22,7 @@ import pytest
 
 from repro.gateway import GatewayConfig, GatewayService
 from repro.gateway.jobs import GatewayJobManager
+from repro.resilience import CircuitBreaker
 
 TERMINAL = ("done", "failed", "cancelled", "timeout")
 _SRC = Path(__file__).resolve().parent.parent.parent / "src"
@@ -210,10 +212,83 @@ class TestSignalDrain:
         assert "rota gateway drained" in output
 
     def test_serve_drains_on_signal(self, sig):
+        # The alias runs the gateway with its default (spawn) workers.
         proc = self.spawn(
             [sys.executable, "-m", "repro", "serve", "--port", "0", "-j", "1"]
         )
         proc.send_signal(sig)
         output, _ = proc.communicate(timeout=60)
         assert proc.returncode == 0
-        assert "rota service drained" in output
+        assert "rota gateway drained" in output
+
+
+class _ParkingBreaker(CircuitBreaker):
+    """A closed breaker whose first ``check()`` parks until released."""
+
+    def __init__(self):
+        super().__init__()
+        self.parked = threading.Event()
+        self.release = threading.Event()
+        self._first = True
+
+    def check(self):
+        if self._first:
+            self._first = False
+            self.parked.set()
+            self.release.wait(30.0)
+        super().check()
+
+
+class TestCoalesceRace:
+    def test_identical_submit_cannot_open_the_key_twice(
+        self, tmp_path, monkeypatch
+    ):
+        """Attach-or-open is one decision: while the first identical
+        submitter is between its attach miss and its open (parked in
+        the breaker check), the others must wait, not open the key
+        themselves and lose their followers to the first one's open."""
+        import repro.experiments.registry as registry
+
+        real_run = registry.run_experiment
+
+        def slow_run(spec_id, **params):
+            time.sleep(0.5)
+            return real_run(spec_id, **params)
+
+        # Fork workers inherit the patch made before start().
+        monkeypatch.setattr(registry, "run_experiment", slow_run)
+        breaker = _ParkingBreaker()
+        mgr = GatewayJobManager(
+            workers=1,
+            queue_depth=8,
+            breaker=breaker,
+            cache_dir=str(tmp_path),
+            cache_enabled=False,
+            start_method="fork",
+        )
+        mgr.start()
+        try:
+            jobs = []
+
+            def submit_one():
+                jobs.append(mgr.submit("unfold", {"x": 3, "y": 5}))
+
+            first = threading.Thread(target=submit_one)
+            first.start()
+            assert breaker.parked.wait(10.0)
+            others = [threading.Thread(target=submit_one) for _ in range(2)]
+            for thread in others:
+                thread.start()
+                thread.join(0.5)
+            breaker.release.set()
+            for thread in [first] + others:
+                thread.join(30.0)
+            assert len(jobs) == 3
+            assert wait_for(
+                lambda: all(mgr.get(job.id).done for job in jobs), 20.0
+            ), [mgr.get(job.id).state for job in jobs]
+            assert [mgr.get(job.id).state for job in jobs] == ["done"] * 3
+            assert mgr.metrics.executions_dispatched == 1
+            assert mgr.metrics.jobs_coalesced == 2
+        finally:
+            mgr.shutdown(timeout=10.0)

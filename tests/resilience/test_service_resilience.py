@@ -1,14 +1,14 @@
-"""Service hardening: job timeouts (504), circuit breaker, worker recovery."""
+"""Gateway hardening on ``fork`` workers: job timeouts (504) and the
+circuit breaker. Fork workers inherit a monkeypatch made before the
+manager starts, which is how these tests make executions slow or fail."""
 
-import threading
+import os
 import time
 
 import pytest
 
+from repro.gateway import GatewayAPI, GatewayJobManager, JobState
 from repro.resilience import CircuitBreaker, CircuitOpenError
-from repro.runtime.cache import ResultCache
-from repro.service.api import ServiceAPI
-from repro.service.jobs import JobManager, JobState
 
 
 class FakeClock:
@@ -19,10 +19,6 @@ class FakeClock:
         return self.now
 
 
-def _disabled_cache(tmp_path):
-    return ResultCache(directory=tmp_path / "cache", enabled=False)
-
-
 def _wait_done(job, timeout=10.0):
     deadline = time.monotonic() + timeout
     while not job.done:
@@ -31,14 +27,25 @@ def _wait_done(job, timeout=10.0):
         time.sleep(0.01)
 
 
+def _patch_run(monkeypatch, replacement):
+    """Swap the run entrypoint the (not yet forked) workers will call."""
+    import repro.experiments.registry as registry
+
+    monkeypatch.setattr(registry, "run_experiment", replacement)
+
+
 @pytest.fixture
 def manager_factory(tmp_path):
     managers = []
 
     def build(**kwargs):
         kwargs.setdefault("workers", 1)
-        kwargs.setdefault("cache", _disabled_cache(tmp_path))
-        manager = JobManager(**kwargs)
+        manager = GatewayJobManager(
+            cache_dir=str(tmp_path / "cache"),
+            cache_enabled=False,
+            start_method="fork",
+            **kwargs,
+        )
         manager.start()
         managers.append(manager)
         return manager
@@ -52,12 +59,10 @@ class TestJobTimeout:
     def test_overrunning_job_flips_to_timeout(
         self, manager_factory, monkeypatch
     ):
-        import repro.service.jobs as jobs_module
-
         def slow_run(spec_id, **params):
             time.sleep(5.0)
 
-        monkeypatch.setattr(jobs_module, "run_experiment", slow_run)
+        _patch_run(monkeypatch, slow_run)
         manager = manager_factory(job_timeout=0.2)
         job = manager.submit("unfold", {})
         _wait_done(job)
@@ -67,15 +72,11 @@ class TestJobTimeout:
         assert manager.metrics.jobs_failed == 0
 
     def test_timeout_job_detail_is_504(self, manager_factory, monkeypatch):
-        import repro.service.jobs as jobs_module
-
-        monkeypatch.setattr(
-            jobs_module, "run_experiment", lambda *a, **k: time.sleep(5.0)
-        )
+        _patch_run(monkeypatch, lambda *a, **k: time.sleep(5.0))
         manager = manager_factory(job_timeout=0.2)
         job = manager.submit("unfold", {})
         _wait_done(job)
-        response = ServiceAPI(manager).handle("GET", f"/v1/runs/{job.id}", None)
+        response = GatewayAPI(manager).handle("GET", f"/v1/runs/{job.id}", None)
         assert response.status == 504
         assert response.payload["state"] == "timeout"
 
@@ -85,21 +86,27 @@ class TestJobTimeout:
         _wait_done(job)
         assert job.state == JobState.DONE
 
-    def test_invalid_timeout_rejected(self, tmp_path):
+    def test_invalid_timeout_rejected(self):
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            JobManager(job_timeout=0.0, cache=_disabled_cache(tmp_path))
+            GatewayJobManager(job_timeout=0.0)
 
 
 class TestCircuitBreakerIntegration:
-    def _failing(self, monkeypatch):
-        import repro.service.jobs as jobs_module
+    def _failing(self, monkeypatch, while_exists=None):
+        """Make executions raise; with ``while_exists``, only as long as
+        that file exists (a forked worker cannot see a later undo)."""
+        import repro.experiments.registry as registry
+
+        real_run = registry.run_experiment
 
         def fail(spec_id, **params):
-            raise RuntimeError("worker blew up")
+            if while_exists is None or os.path.exists(while_exists):
+                raise RuntimeError("worker blew up")
+            return real_run(spec_id, **params)
 
-        monkeypatch.setattr(jobs_module, "run_experiment", fail)
+        _patch_run(monkeypatch, fail)
 
     def test_consecutive_failures_open_and_shed(
         self, manager_factory, monkeypatch
@@ -126,7 +133,7 @@ class TestCircuitBreakerIntegration:
         )
         manager = manager_factory(breaker=breaker)
         _wait_done(manager.submit("unfold", {}))
-        response = ServiceAPI(manager).handle(
+        response = GatewayAPI(manager).handle(
             "POST", "/v1/experiments/unfold/runs", {}
         )
         assert response.status == 503
@@ -135,11 +142,11 @@ class TestCircuitBreakerIntegration:
         assert int(headers["Retry-After"]) >= 1
 
     def test_successful_probe_closes_the_circuit(
-        self, manager_factory, monkeypatch
+        self, manager_factory, monkeypatch, tmp_path
     ):
-        import repro.service.jobs as jobs_module
-
-        self._failing(monkeypatch)
+        broken = tmp_path / "broken"
+        broken.touch()
+        self._failing(monkeypatch, while_exists=str(broken))
         clock = FakeClock()
         breaker = CircuitBreaker(
             failure_threshold=1, cooldown_seconds=30.0, clock=clock
@@ -148,7 +155,7 @@ class TestCircuitBreakerIntegration:
         _wait_done(manager.submit("unfold", {}))
         assert breaker.state == "open"
         clock.now += 30.0
-        monkeypatch.undo()  # restore the real run_experiment
+        broken.unlink()  # the worker recovers
         probe = manager.submit("unfold", {})  # the half-open probe
         _wait_done(probe)
         assert probe.state == JobState.DONE
@@ -157,23 +164,8 @@ class TestCircuitBreakerIntegration:
     def test_metrics_expose_breaker_state(self, manager_factory):
         breaker = CircuitBreaker(failure_threshold=5, cooldown_seconds=30.0)
         manager = manager_factory(breaker=breaker)
-        response = ServiceAPI(manager).handle("GET", "/metrics", None)
+        response = GatewayAPI(manager).handle("GET", "/metrics", None)
         resilience = response.payload["resilience"]
         assert resilience["breaker"]["state"] == "closed"
         assert resilience["workers_restarted"] == 0
         assert response.payload["jobs"]["timeout"] == 0
-
-
-class TestWorkerRecovery:
-    def test_dead_worker_is_respawned_on_submit(self, manager_factory):
-        manager = manager_factory(workers=1)
-        # Simulate a worker thread that died (the loop guards against
-        # this, but belt-and-braces recovery must still work).
-        corpse = threading.Thread(target=lambda: None)
-        corpse.start()
-        corpse.join()
-        manager._threads[0] = corpse
-        job = manager.submit("unfold", {})
-        _wait_done(job)
-        assert job.state == JobState.DONE
-        assert manager.metrics.workers_restarted == 1

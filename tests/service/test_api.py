@@ -1,4 +1,5 @@
-"""Unit tests for the transport-independent service API layer."""
+"""The transport-independent API contract, driven against the gateway's
+job manager over ``fork`` worker processes (no sockets)."""
 
 import json
 import math
@@ -7,9 +8,7 @@ import time
 import pytest
 
 from repro.experiments.registry import spec_ids
-from repro.runtime import ResultCache
-from repro.service import JobManager, ServiceAPI
-from repro.service.api import ApiResponse
+from repro.gateway import ApiResponse, GatewayAPI, GatewayJobManager
 
 
 def wait_state(manager, job_id, timeout=60.0):
@@ -25,25 +24,27 @@ def wait_state(manager, job_id, timeout=60.0):
 
 @pytest.fixture
 def api(tmp_path):
-    manager = JobManager(
+    manager = GatewayJobManager(
         workers=2,
         queue_depth=4,
-        cache=ResultCache(directory=tmp_path, enabled=True),
+        cache_dir=str(tmp_path),
+        start_method="fork",
     )
     manager.start()
-    yield ServiceAPI(manager)
+    yield GatewayAPI(manager)
     manager.shutdown()
 
 
 @pytest.fixture
 def cold_api(tmp_path):
     """API over a manager whose workers never run (queueing tests)."""
-    manager = JobManager(
+    manager = GatewayJobManager(
         workers=1,
         queue_depth=2,
-        cache=ResultCache(directory=tmp_path, enabled=True),
+        cache_dir=str(tmp_path),
+        start_method="fork",
     )
-    yield ServiceAPI(manager)
+    yield GatewayAPI(manager)
     manager.shutdown()
 
 
@@ -132,22 +133,30 @@ class TestSubmission:
         assert "dead" in response.payload["error"]["fields"]
 
     def test_queue_full_maps_to_429(self, cold_api):
-        assert cold_api.handle("POST", "/v1/experiments/unfold/runs", {}).status == 202
-        assert cold_api.handle("POST", "/v1/experiments/unfold/runs", {}).status == 202
-        response = cold_api.handle("POST", "/v1/experiments/unfold/runs", {})
+        # Distinct params: an identical submission would coalesce onto
+        # the queued one instead of taking a queue slot.
+        def post(x):
+            return cold_api.handle(
+                "POST", "/v1/experiments/unfold/runs", {"x": x}
+            )
+
+        assert post(2).status == 202
+        assert post(3).status == 202
+        response = post(4)
         assert response.status == 429
         assert response.payload["error"]["code"] == "queue-full"
         assert ("Retry-After", "1") in response.headers
 
     def test_submit_during_shutdown_maps_to_503(self, tmp_path):
-        manager = JobManager(
+        manager = GatewayJobManager(
             workers=1,
             queue_depth=2,
-            cache=ResultCache(directory=tmp_path, enabled=True),
+            cache_dir=str(tmp_path),
+            start_method="fork",
         )
         manager.start()
         manager.shutdown()
-        response = ServiceAPI(manager).handle(
+        response = GatewayAPI(manager).handle(
             "POST", "/v1/experiments/unfold/runs", {}
         )
         assert response.status == 503
@@ -224,7 +233,7 @@ class TestRunEndpoints:
         assert job.state == "failed"
         response = api.handle("GET", f"/v1/runs/{job_id}", None)
         # The ReproError surfaces as a structured error on the job, not
-        # a traceback or a 500 — the service twin of CLI exit code 2.
+        # a traceback or a 500 — the HTTP twin of CLI exit code 2.
         assert response.status == 200
         assert response.payload["error"]["code"] == "repro-error"
         assert "NoSuchNet" in response.payload["error"]["message"]
@@ -266,7 +275,7 @@ def _assert_keys_sorted(raw):
 
 
 class TestResponseBody:
-    """The one wire encoding both ``rota serve`` and ``rota gateway`` send."""
+    """The one wire encoding every response body uses."""
 
     # Fig. 7's R_diff is inf while the minimum usage is 0, so infinite
     # and NaN floats do reach real response bodies.

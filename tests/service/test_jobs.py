@@ -1,4 +1,5 @@
-"""Unit tests for the service job queue and worker pool."""
+"""Job-manager behaviour on the gateway's ``fork`` worker processes:
+intake, warm hits, failures, shutdown, and argument validation."""
 
 import time
 
@@ -6,8 +7,12 @@ import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.registry import ParamValidationError, run_experiment
-from repro.runtime import ResultCache
-from repro.service import JobManager, JobState, QueueFullError, ServiceStoppedError
+from repro.gateway import (
+    GatewayJobManager,
+    JobState,
+    QueueFullError,
+    ServiceStoppedError,
+)
 
 
 def wait_done(job, timeout=60.0):
@@ -20,13 +25,17 @@ def wait_done(job, timeout=60.0):
     return job
 
 
+def make_manager(tmp_path, **kwargs):
+    kwargs.setdefault("workers", 1)
+    kwargs.setdefault("queue_depth", 8)
+    return GatewayJobManager(
+        cache_dir=str(tmp_path), start_method="fork", **kwargs
+    )
+
+
 @pytest.fixture
 def manager(tmp_path):
-    m = JobManager(
-        workers=2,
-        queue_depth=8,
-        cache=ResultCache(directory=tmp_path, enabled=True),
-    )
+    m = make_manager(tmp_path, workers=2)
     m.start()
     yield m
     m.shutdown()
@@ -35,7 +44,9 @@ def manager(tmp_path):
 class TestSubmit:
     def test_runs_to_done_with_payload(self, manager):
         job = manager.submit("unfold", {"x": 4, "y": 4})
-        assert job.state == JobState.QUEUED
+        # A worker may already have picked it up; the journal shows
+        # that it entered the lifecycle queued.
+        assert job.events[0]["state"] == JobState.QUEUED
         wait_done(job)
         assert job.state == JobState.DONE
         assert job.error is None
@@ -61,15 +72,12 @@ class TestSubmit:
 
     def test_queue_full_raises_and_counts(self, tmp_path):
         # Workers never started: submissions pile up in the queue.
-        m = JobManager(
-            workers=1,
-            queue_depth=2,
-            cache=ResultCache(directory=tmp_path, enabled=True),
-        )
-        m.submit("unfold", {})
-        m.submit("unfold", {})
+        # Distinct params, or the repeats would coalesce instead.
+        m = make_manager(tmp_path, queue_depth=2)
+        m.submit("unfold", {"x": 2})
+        m.submit("unfold", {"x": 3})
         with pytest.raises(QueueFullError):
-            m.submit("unfold", {})
+            m.submit("unfold", {"x": 4})
         assert m.metrics.jobs_rejected == 1
         assert m.metrics.jobs_submitted == 2
         # The rejected job must not linger in the job table.
@@ -114,11 +122,7 @@ class TestFailures:
 
 class TestShutdown:
     def test_queued_jobs_cancelled(self, tmp_path):
-        m = JobManager(
-            workers=1,
-            queue_depth=8,
-            cache=ResultCache(directory=tmp_path, enabled=True),
-        )
+        m = make_manager(tmp_path)
         # Never started: both jobs still queued at shutdown.
         a = m.submit("unfold", {})
         b = m.submit("unfold", {"x": 2, "y": 2})
@@ -128,22 +132,14 @@ class TestShutdown:
         assert m.metrics.jobs_cancelled == 2
 
     def test_submit_after_shutdown_rejected(self, tmp_path):
-        m = JobManager(
-            workers=1,
-            queue_depth=8,
-            cache=ResultCache(directory=tmp_path, enabled=True),
-        )
+        m = make_manager(tmp_path)
         m.start()
         m.shutdown()
         with pytest.raises(ServiceStoppedError):
             m.submit("unfold", {})
 
     def test_completed_jobs_survive_shutdown(self, tmp_path):
-        m = JobManager(
-            workers=1,
-            queue_depth=8,
-            cache=ResultCache(directory=tmp_path, enabled=True),
-        )
+        m = make_manager(tmp_path)
         m.start()
         job = wait_done(m.submit("unfold", {}))
         m.shutdown()
@@ -154,6 +150,6 @@ class TestShutdown:
 class TestValidation:
     def test_bad_worker_and_queue_counts(self):
         with pytest.raises(ReproError):
-            JobManager(workers=0)
+            GatewayJobManager(workers=0)
         with pytest.raises(ReproError):
-            JobManager(queue_depth=0)
+            GatewayJobManager(queue_depth=0)

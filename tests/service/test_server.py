@@ -1,10 +1,10 @@
-"""End-to-end HTTP tests: a real ThreadingHTTPServer on a random port.
+"""End-to-end HTTP tests: a real gateway (``fork`` workers) on a random
+port.
 
-Includes the acceptance-criteria parity check: for three registered
-experiments, the payload served by ``GET /v1/runs/<id>`` equals the
-``rota <exp> --json`` output (same ``to_dict()`` dictionary), and a
-repeated POST with identical params is served as a cache hit visible
-in ``/metrics``.
+Includes the parity check: for four registered experiments, the payload
+served by ``GET /v1/runs/<id>`` equals the ``rota <exp> --json`` output
+(same ``to_dict()`` dictionary), and a repeated POST with identical
+params is served as a cache hit visible in ``/metrics``.
 """
 
 import json
@@ -15,8 +15,7 @@ import urllib.request
 import pytest
 
 from repro.experiments.registry import run_experiment
-from repro.runtime import ResultCache
-from repro.service import RotaService, ServiceConfig
+from repro.gateway import GatewayConfig, GatewayService
 
 #: (spec id, params, direct runner kwargs) for the parity sweep — cheap
 #: experiments spanning no-param, int-param, and str-param schemas.
@@ -31,9 +30,14 @@ PARITY_CASES = [
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("service-cache")
-    svc = RotaService(
-        ServiceConfig(port=0, workers=2, queue_depth=16),
-        cache=ResultCache(directory=cache_dir, enabled=True),
+    svc = GatewayService(
+        GatewayConfig(
+            port=0,
+            workers=2,
+            queue_depth=16,
+            start_method="fork",
+            cache_dir=str(cache_dir),
+        )
     )
     svc.start()
     yield svc
@@ -95,7 +99,8 @@ class TestHttpSurface:
             urllib.request.urlopen(req, timeout=30)
         assert excinfo.value.code == 400
         payload = json.loads(excinfo.value.read())
-        assert payload["error"]["code"] == "invalid-json"
+        assert payload["error"]["code"] == "invalid-request"
+        assert "not valid JSON" in payload["error"]["message"]
 
     def test_validation_error_over_http(self, service):
         status, payload = request(
@@ -147,9 +152,14 @@ class TestParity:
 
 class TestShutdown:
     def test_drain_summary_and_queued_cancellation(self, tmp_path):
-        svc = RotaService(
-            ServiceConfig(port=0, workers=1, queue_depth=8),
-            cache=ResultCache(directory=tmp_path, enabled=True),
+        svc = GatewayService(
+            GatewayConfig(
+                port=0,
+                workers=1,
+                queue_depth=8,
+                start_method="fork",
+                cache_dir=str(tmp_path),
+            )
         )
         svc.start()
         done = submit_and_wait(svc, "unfold", {"x": 3, "y": 3})
@@ -159,9 +169,14 @@ class TestShutdown:
         assert "1 completed" in summary
 
     def test_server_stops_accepting_after_shutdown(self, tmp_path):
-        svc = RotaService(
-            ServiceConfig(port=0, workers=1, queue_depth=8),
-            cache=ResultCache(directory=tmp_path, enabled=True),
+        svc = GatewayService(
+            GatewayConfig(
+                port=0,
+                workers=1,
+                queue_depth=8,
+                start_method="fork",
+                cache_dir=str(tmp_path),
+            )
         )
         svc.start()
         url = svc.url

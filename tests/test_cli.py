@@ -313,12 +313,14 @@ class TestRegistryCli:
 
 class TestServeAndPruneParsing:
     def test_serve_subcommand_defaults(self):
+        # `serve` is an alias of `gateway`: the gateway's defaults.
         args = build_parser().parse_args(["serve"])
         assert callable(args.func)
         assert args.host == "127.0.0.1"
-        assert args.port == 8753
-        assert args.jobs == 2
-        assert args.queue_depth == 32
+        assert args.port == 8764
+        assert args.jobs == 4
+        assert args.queue_depth == 64
+        assert args.start_method == "spawn"
         assert args.request_timeout == 300.0
         assert args.breaker_threshold == 5
         assert args.breaker_cooldown == 30.0
