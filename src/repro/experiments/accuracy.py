@@ -15,7 +15,7 @@ retirement vs sustained throughput vs p99 delivered accuracy loss — with
 the headline that SLO-aware dispatch extends time-to-retirement versus
 ``rotational`` at bounded loss on the default skewed bursty scenario.
 Delivered loss is fixed at admission (see
-:meth:`~repro.fleet.device.FleetDevice.enqueue`), so under SLO routing
+:meth:`~repro.fleet.device.FleetDevice.admit`), so under SLO routing
 the p99 delivered loss is bounded by the configured budget by
 construction — the property the CI accuracy-smoke job asserts.
 """

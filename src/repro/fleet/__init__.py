@@ -52,6 +52,7 @@ from repro.fleet.traffic import (
     DEFAULT_SKEWED_MIX,
     Request,
     TRAFFIC_KINDS,
+    Traffic,
     WorkloadMix,
     bursty_requests,
     make_traffic,
@@ -81,6 +82,7 @@ __all__ = [
     "SLOAwareDispatch",
     "SLORotationalDispatch",
     "TRAFFIC_KINDS",
+    "Traffic",
     "WorkloadMix",
     "WorkloadProfile",
     "build_profile",

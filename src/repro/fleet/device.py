@@ -41,12 +41,16 @@ from repro.core.policies import StrideTrigger, make_policy
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.injection import EnduranceBudgets
 from repro.faults.state import FaultState
-from repro.fleet.traffic import Request
 from repro.runtime.memo import Memo
 
 #: Intra-device wear-leveling policy assumed when profiling workloads:
 #: fleet devices are RoTA accelerators, so each runs RWL+RO internally.
 PROFILE_POLICY = "rwl+ro"
+
+#: ``remaining`` of a dead PE: far above any ledger a run can reach
+#: (ledgers stay below 2**53), so a dead PE never reads as crossed and
+#: never sets the headroom.
+_DEAD_REMAINING = 2**62
 
 #: What a device does once its alive fraction falls under
 #: ``min_alive_fraction``: ``retire`` leaves service (the PR-5
@@ -65,6 +69,13 @@ class WorkloadProfile:
     policy); ``cycles`` its service latency from the cycle model.
     ``counts`` is a read-only private copy: profiles are memoized and
     shared across simulations, so none of them may mutate it.
+
+    Two plain attributes are derived from ``counts`` once, because the
+    event loop reads them on every request: ``wear_units``, the total
+    usage increment of one request (its wear footprint), and
+    ``peak_count``, the largest single-PE increment of one request (the
+    most any one cell moves per request, which the device's lazy wear
+    application budgets against).
     """
 
     workload: str
@@ -83,34 +94,19 @@ class WorkloadProfile:
             )
         array.setflags(write=False)
         object.__setattr__(self, "counts", array)
+        self._derive()
 
     def __setstate__(self, state) -> None:
         # Unpickling (result cache, pool workers) skips __post_init__
-        # and yields a writable array; re-freeze it.
+        # and yields a writable array; re-freeze it. Profiles pickled
+        # before the derived attributes existed get them here.
         self.__dict__.update(state)
         self.counts.setflags(write=False)
+        self._derive()
 
-    @property
-    def wear_units(self) -> float:
-        """Total usage increment of one request (its wear footprint)."""
-        cached = self.__dict__.get("_wear_units")
-        if cached is None:
-            cached = float(self.counts.sum())
-            object.__setattr__(self, "_wear_units", cached)
-        return cached
-
-    @property
-    def peak_count(self) -> int:
-        """Largest single-PE increment of one request.
-
-        Upper-bounds how far any one cell can move per request — the
-        quantity the device's lazy wear application budgets against.
-        """
-        cached = self.__dict__.get("_peak_count")
-        if cached is None:
-            cached = int(self.counts.max())
-            object.__setattr__(self, "_peak_count", cached)
-        return cached
+    def _derive(self) -> None:
+        object.__setattr__(self, "wear_units", float(self.counts.sum()))
+        object.__setattr__(self, "peak_count", int(self.counts.max()))
 
 
 #: Per-process profile memo keyed by :func:`_profile_key`: a fleet
@@ -321,35 +317,52 @@ class FleetDevice:
         self._peak_wear_served = -1
         self._peak_wear = 0.0
         self._ledger = np.zeros(array.shape, dtype=np.int64)
+        self._faults = FaultState.none(array)
+        # Integer budget check: ``_remaining`` is ``ceil(budget) -
+        # ledger`` per PE (int64), with dead PEs at ``_DEAD_REMAINING``.
+        # For an integer ledger below 2**53, ``ledger >= budget`` exactly
+        # when ``ceil(budget) - ledger <= 0``, so a PE crosses its budget
+        # exactly when its ``remaining`` drops to zero or below, and
+        # ``remaining.min()`` is the device's headroom. ``None`` without
+        # budgets. ``_remaining_version`` is the fault version it was
+        # last brought in line with.
+        self._ceil_budgets: Optional[np.ndarray] = None
+        self._remaining: Optional[np.ndarray] = None
+        self._remaining_version = self._faults.version
+        self._headroom = 0
+        if budgets is not None:
+            self._ceil_budgets = np.minimum(
+                np.ceil(budgets.budgets), _DEAD_REMAINING
+            ).astype(np.int64)
+            self._remaining = self._ceil_budgets.copy()
+            self._headroom = int(self._remaining.min())
         # Lazy wear application: completed requests park their profile
         # here (keyed by profile identity, with a repeat count) until a
         # ledger read or a possible budget crossing forces the batch to
-        # materialize. ``_pending_peak`` upper-bounds any single cell's
-        # deferred increment; ``_headroom`` is the smallest live-cell
-        # margin to a budget as of the last materialization (``None``
-        # when stale). While ``_pending_peak`` stays strictly below
-        # ``_headroom`` no PE can cross its budget, so death timing is
-        # exactly the per-request check's.
+        # materialize. ``_headroom`` is ``min(_remaining)`` as of the
+        # last eager completion and ``_pending_peak`` upper-bounds any
+        # single cell's wear since then. While ``_pending_peak`` stays
+        # strictly below ``_headroom`` no PE can cross its budget, so
+        # death timing is exactly the per-request check's.
         self._pending: Dict[int, List] = {}
         self._pending_peak = 0
-        self._headroom: Optional[float] = None
-        self._faults = FaultState.none(array)
-        # Queue entries carry the accuracy loss the request was admitted
-        # at: the fault-aware mapping is planned at admission, so the
-        # loss a request is *delivered* at is the device's predicted
-        # loss when dispatch placed it — not whatever the array looks
-        # like once it reaches the head of the queue.
-        self._queue: Deque[Tuple[Request, WorkloadProfile, float]] = deque()
-        self._in_service: Optional[Tuple[Request, WorkloadProfile, float]] = None
+        # Queue entries are ``(request index, profile, loss)``, the loss
+        # being the accuracy loss the request was admitted at: the
+        # fault-aware mapping is planned at admission, so the loss a
+        # request is *delivered* at is the device's predicted loss when
+        # dispatch placed it — not whatever the array looks like once it
+        # reaches the head of the queue.
+        self._queue: Deque[Tuple[int, WorkloadProfile, float]] = deque()
+        self._in_service: Optional[Tuple[int, WorkloadProfile, float]] = None
         self.served = 0
         self.dispatched_wear = 0.0
         self.death_time_s: Optional[float] = None
-        #: Accuracy loss of the most recently completed request.
-        self.last_loss = 0.0
+        #: Queued requests handed back unserved when the device retired.
+        self.dropped = 0
         #: Alive with queue headroom. A plain attribute, kept current
-        #: where either input changes (``enqueue``, ``start_next`` and
-        #: retirement in ``complete``): dispatch reads it for every
-        #: device on every arrival.
+        #: where either input changes (``admit``, ``finish`` and
+        #: retirement): dispatch reads it for every device on every
+        #: arrival.
         self.can_accept = True
 
     # ------------------------------------------------------------------
@@ -446,20 +459,18 @@ class FleetDevice:
             return float("inf")
         return self._array.num_pes / alive
 
-    def service_seconds(self, profile: WorkloadProfile) -> float:
-        """Wall-clock service time of one request on this device, now.
+    def _refresh_service_factor(self) -> None:
+        """Re-derive the service-time factor after a fault change.
 
-        A degraded-approx device serves at the healthy rate: the dead
+        A request's service time is ``cycles / clock_hz * factor``. A
+        degraded-approx device serves at the healthy rate: the dead
         PEs' work is approximated away (that is where the accuracy loss
         comes from), not redistributed over the survivors.
         """
-        version = self._faults.version
-        if self._service_version != version:
-            self._service_version = version
-            # ``x * 1.0 == x`` exactly, so the degraded factor keeps the
-            # healthy-rate time bit-identical to ``cycles / clock_hz``.
-            self._service_factor = 1.0 if self.degraded else self.slowdown
-        return profile.cycles / self._clock_hz * self._service_factor
+        self._service_version = self._faults.version
+        # ``x * 1.0 == x`` exactly, so the degraded factor keeps the
+        # healthy-rate time bit-identical to ``cycles / clock_hz``.
+        self._service_factor = 1.0 if self.degraded else self.slowdown
 
     def predicted_loss(self, workload: str) -> float:
         """Model-predicted accuracy loss of serving ``workload`` now.
@@ -495,136 +506,161 @@ class FleetDevice:
         return self._accuracy_model.loss(dead_fraction, profile)
 
     # ------------------------------------------------------------------
-    # Queue mechanics (driven by the event loop)
+    # Queue mechanics (driven by the event loop: one call per event)
     # ------------------------------------------------------------------
-    def enqueue(self, request: Request, profile: WorkloadProfile) -> bool:
-        """Admit one request; returns whether service starts immediately.
+    def admit(
+        self, index: int, workload: str, profile: WorkloadProfile, now: float
+    ) -> Optional[float]:
+        """Admit request ``index`` at ``now``; its completion time if it starts.
 
-        The request's delivered accuracy loss is fixed here, at
+        Returns ``None`` when the request queues behind the one in
+        service. The request's delivered accuracy loss is fixed here, at
         admission — the predicted loss of the device as dispatch saw it.
         """
         if not self.can_accept:
             raise SimulationError(
-                f"device {self.device_id} cannot accept request {request.index}"
+                f"device {self.device_id} cannot accept request {index}"
             )
-        loss = self.predicted_loss(request.workload)
+        # An accepting device is alive, and an alive retire-mode device
+        # serves loss-free.
+        loss = 0.0 if self._retire_mode else self.predicted_loss(workload)
         self.dispatched_wear += profile.wear_units
-        if self._in_service is None:
-            self._in_service = (request, profile, loss)
-            return True
-        self._queue.append((request, profile, loss))
-        self.can_accept = len(self._queue) < self._queue_limit
-        return False
+        if self._in_service is not None:
+            self._queue.append((index, profile, loss))
+            self.can_accept = len(self._queue) < self._queue_limit
+            return None
+        self._in_service = (index, profile, loss)
+        if self._service_version != self._faults.version:
+            self._refresh_service_factor()
+        return now + profile.cycles / self._clock_hz * self._service_factor
 
-    def _flush_pending(self) -> None:
-        """Materialize deferred request wear into the ledger."""
-        if not self._pending:
-            return
-        for profile, count in self._pending.values():
-            if count == 1:
-                self._ledger += profile.counts
-            else:
-                self._ledger += profile.counts * count
-        self._pending.clear()
-        self._pending_peak = 0
-        self._headroom = None
+    def finish(
+        self, now: float
+    ) -> Tuple[int, float, Optional[float], Tuple[PEDeath, ...]]:
+        """Finish the in-service request at ``now`` and start the next one.
 
-    def _live_headroom(self) -> float:
-        """Smallest live-cell margin to its endurance budget."""
-        alive = ~self._faults.dead_mask
-        if not alive.any():
-            return float("inf")
-        return float((self._budgets.budgets - self._ledger)[alive].min())
-
-    def _defer(self, profile: WorkloadProfile) -> None:
-        """Park one completed request's wear for batched application."""
-        entry = self._pending.get(id(profile))
-        if entry is None:
-            self._pending[id(profile)] = [profile, 1]
-        else:
-            entry[1] += 1
-        self._pending_peak += profile.peak_count
-
-    def complete(self, time_s: float) -> Tuple[Request, List[PEDeath], List[Request]]:
-        """Finish the in-service request at ``time_s``.
-
-        Applies the request's wear, detects budget crossings, retires
-        the device when too few PEs survive. Returns the finished
-        request, any PE deaths it caused, and the queued requests
-        dropped if the device retired.
+        Applies the finished request's wear, kills the PEs it pushes
+        past their budgets, retires the device when too few PEs survive
+        (handing its queue back as :attr:`dropped`), and starts the
+        head-of-queue request. Returns the finished request's index,
+        the accuracy loss it was delivered at, the completion time of
+        the request started now (``None`` when none starts) and the PE
+        deaths, in row-major order.
 
         Wear application is lazily batched: while the worst-case
         deferred increment provably cannot reach any live PE's budget,
-        the per-request array update and budget scan are skipped
-        entirely (they re-run, exactly, once a crossing becomes
-        possible — so deaths happen at the same request, time, and
-        coordinates as with eager application).
+        the array update and budget check are skipped entirely (they
+        run, exactly, once a crossing becomes possible — so deaths
+        happen at the same request, time, and coordinates as with eager
+        application).
         """
-        if self._in_service is None:
+        entry = self._in_service
+        if entry is None:
             raise SimulationError(f"device {self.device_id} is idle")
-        request, profile, loss = self._in_service
-        self._in_service = None
+        index, profile, loss = entry
         self.served += 1
-        self.last_loss = loss
-        deaths: List[PEDeath] = []
-        if self._budgets is None:
-            self._defer(profile)
+        deaths: Tuple[PEDeath, ...] = ()
+        faults = self._faults
+        version = faults.version
+        if self._remaining is not None and (
+            self._pending_peak + profile.peak_count >= self._headroom
+            or self._remaining_version != version
+        ):
+            deaths = self._spend(profile, now)
+            version = faults.version
         else:
-            if self._headroom is None:
-                self._headroom = self._live_headroom()
-            if self._pending_peak + profile.peak_count < self._headroom:
-                self._defer(profile)
+            pending = self._pending.get(id(profile))
+            if pending is None:
+                self._pending[id(profile)] = [profile, 1]
             else:
-                self._flush_pending()
-                self._ledger += profile.counts
-                self._headroom = None
-                crossed = (
-                    self._budgets.exceeded(self._ledger)
-                    & ~self._faults.dead_mask
-                )
-                if crossed.any():
-                    rows, cols = np.nonzero(crossed)
-                    for v, u in zip(rows.tolist(), cols.tolist()):
-                        self._faults.kill(u, v)
-                        deaths.append(
-                            PEDeath(
-                                device_id=self.device_id, time_s=time_s, u=u, v=v
-                            )
-                        )
-        dropped: List[Request] = []
+                pending[1] += 1
+            self._pending_peak += profile.peak_count
         # Retirement depends only on the fault set (the mode and the
         # threshold are fixed), so it is re-tested only after a change.
-        faults = self._faults
-        if self._retire_version != faults.version:
-            self._retire_version = faults.version
-            if self._retire_mode:
-                retired = (
-                    self.alive
-                    and faults.alive_fraction < self._min_alive_fraction
-                )
-            else:
-                retired = self.alive and faults.num_alive == 0
-            if retired:
-                self.death_time_s = time_s
-                self.can_accept = False
-                self._service_version = -1
-                dropped = [queued for queued, _, _ in self._queue]
-                self._queue.clear()
-        return request, deaths, dropped
+        if self._retire_version != version:
+            self._retire_version = version
+            self._retire_if_spent(now)
+        queue = self._queue
+        if not queue:
+            self._in_service = None
+            return index, loss, None, deaths
+        head = self._in_service = queue.popleft()
+        self.can_accept = len(queue) < self._queue_limit
+        if self._service_version != version:
+            self._refresh_service_factor()
+        finish_s = now + head[1].cycles / self._clock_hz * self._service_factor
+        return index, loss, finish_s, deaths
 
-    def start_next(self) -> Optional[WorkloadProfile]:
-        """Begin serving the head-of-queue request, if any."""
-        if self._in_service is not None:
-            raise SimulationError(f"device {self.device_id} is busy")
-        if not self._queue:
-            return None
-        self._in_service = self._queue.popleft()
-        self.can_accept = self.alive and len(self._queue) < self._queue_limit
-        return self._in_service[1]
+    def _flush_pending(self) -> None:
+        """Materialize deferred request wear into the ledger.
+
+        ``_remaining`` takes the same wear, so it stays ``ceil(budget) -
+        ledger``; the headroom bound stays valid, because
+        ``_pending_peak`` still bounds every cell's wear since the
+        headroom was taken.
+        """
+        if not self._pending:
+            return
+        remaining = self._remaining
+        for profile, count in self._pending.values():
+            wear = profile.counts if count == 1 else profile.counts * count
+            self._ledger += wear
+            if remaining is not None:
+                remaining -= wear
+        self._pending.clear()
+
+    def _spend(self, profile: WorkloadProfile, now: float) -> Tuple[PEDeath, ...]:
+        """Apply one request's wear eagerly and kill the PEs it exhausts.
+
+        Runs when the request might cross a budget. ``_remaining`` is
+        rebuilt from the ledger if the fault set changed since it was
+        last brought in line (a PE killed or revived by someone else).
+        Leaves ``_headroom`` exact and ``_pending_peak`` at zero.
+        """
+        self._flush_pending()
+        counts = profile.counts
+        self._ledger += counts
+        remaining = self._remaining
+        faults = self._faults
+        if self._remaining_version == faults.version:
+            remaining -= counts
+        else:
+            np.subtract(self._ceil_budgets, self._ledger, out=remaining)
+            remaining[faults.dead_mask] = _DEAD_REMAINING
+        headroom = int(remaining.min())
+        deaths: Tuple[PEDeath, ...] = ()
+        if headroom <= 0:
+            rows, cols = np.nonzero(remaining <= 0)
+            deaths = tuple(
+                PEDeath(device_id=self.device_id, time_s=now, u=u, v=v)
+                for v, u in zip(rows.tolist(), cols.tolist())
+            )
+            for death in deaths:
+                faults.kill(death.u, death.v)
+            remaining[rows, cols] = _DEAD_REMAINING
+            headroom = int(remaining.min())
+        self._remaining_version = faults.version
+        self._headroom = headroom
+        self._pending_peak = 0
+        return deaths
+
+    def _retire_if_spent(self, now: float) -> None:
+        """Leave service if too few PEs survive, dropping the queue."""
+        faults = self._faults
+        if self._retire_mode:
+            retired = self.alive and faults.alive_fraction < self._min_alive_fraction
+        else:
+            retired = self.alive and faults.num_alive == 0
+        if retired:
+            self.death_time_s = now
+            self.can_accept = False
+            self._service_version = -1
+            self.dropped += len(self._queue)
+            self._queue.clear()
 
     @property
-    def in_service(self) -> Optional[Request]:
-        """The request currently being served, if any."""
+    def in_service(self) -> Optional[int]:
+        """Index of the request currently being served, if any."""
         return self._in_service[0] if self._in_service else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

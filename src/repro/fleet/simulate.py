@@ -43,7 +43,7 @@ from repro.errors import ConfigurationError
 from repro.faults.injection import sample_endurance_budgets
 from repro.fleet.device import DEVICE_MODES, FleetDevice, PEDeath, WorkloadProfile
 from repro.fleet.dispatch import make_dispatch_policy
-from repro.fleet.traffic import Request
+from repro.fleet.traffic import Request, Traffic
 from repro.reliability.weibull import JEDEC_BETA, WeibullModel
 
 Seed = Union[int, np.random.SeedSequence]
@@ -149,7 +149,7 @@ class FleetResult:
     #: results pickled before the accuracy layer existed).
     mode: str = "retire"
     #: Mean and p99 of per-request *delivered* accuracy loss (fixed at
-    #: admission — see :meth:`FleetDevice.enqueue`).
+    #: admission — see :meth:`FleetDevice.admit`).
     delivered_loss_mean: float = 0.0
     delivered_loss_p99: float = 0.0
     #: Completed requests whose delivered loss exceeded their SLO.
@@ -249,10 +249,11 @@ def fleet_mttf_parallel(
     return float(trapezoid(survival, times))
 
 
-def _percentile(values: np.ndarray, q: float) -> float:
+def _percentiles(values: np.ndarray, *qs: float) -> List[float]:
+    """The ``qs`` percentiles of ``values`` in one call (zeros when empty)."""
     if values.size == 0:
-        return 0.0
-    return float(np.percentile(values, q))
+        return [0.0] * len(qs)
+    return np.percentile(values, qs).tolist()
 
 
 def simulate_fleet(
@@ -267,26 +268,42 @@ def simulate_fleet(
 ) -> FleetResult:
     """Run one traffic scenario through the fleet under one policy.
 
-    ``seed`` feeds *only* the per-device endurance-budget sampling (one
-    :class:`~numpy.random.SeedSequence` child per device, spawned up
-    front); the traffic is already materialized in ``requests``. With
-    ``config.mean_budget=None`` no budgets are drawn and the run is
-    failure-free. ``accuracy_profiles`` optionally pins the per-workload
-    accuracy calibration degraded devices consult (defaults to the
-    global calibration in :mod:`repro.accuracy.model`).
+    ``requests`` is a :class:`~repro.fleet.traffic.Traffic` (any other
+    sequence of requests is read into one) whose arrival times must not
+    decrease. ``seed`` feeds *only* the per-device endurance-budget
+    sampling (one :class:`~numpy.random.SeedSequence` child per device,
+    spawned up front); the traffic is already materialized in
+    ``requests``. With ``config.mean_budget=None`` no budgets are drawn
+    and the run is failure-free. ``accuracy_profiles`` optionally pins
+    the per-workload accuracy calibration degraded devices consult
+    (defaults to the global calibration in :mod:`repro.accuracy.model`).
     """
-    if not requests:
+    traffic = (
+        requests if isinstance(requests, Traffic) else Traffic.from_requests(requests)
+    )
+    if not len(traffic):
         raise ConfigurationError("a fleet scenario needs at least one request")
     if accelerator is None:
         from repro.experiments.common import paper_accelerator
 
         accelerator = paper_accelerator()
-    for request in requests:
-        if request.workload not in profiles:
-            raise ConfigurationError(
-                f"request {request.index} asks for {request.workload!r} "
-                f"but no profile was built for it; have: {sorted(profiles)}"
-            )
+    arrivals = traffic.arrival_s
+    backwards = np.flatnonzero(arrivals[1:] < arrivals[:-1])
+    if backwards.size:
+        index = int(backwards[0]) + 1
+        raise ConfigurationError(
+            f"request {index} arrives at {arrivals[index]} s, before request "
+            f"{index - 1} at {arrivals[index - 1]} s; arrival times must not "
+            "decrease"
+        )
+    workloads = traffic.workload
+    unknown = set(workloads).difference(profiles)
+    if unknown:
+        index = next(i for i, name in enumerate(workloads) if name in unknown)
+        raise ConfigurationError(
+            f"request {index} asks for {workloads[index]!r} "
+            f"but no profile was built for it; have: {sorted(profiles)}"
+        )
 
     # Rebuild a passed-in SeedSequence from its identity rather than
     # spawning from the caller's object: spawn() mutates the parent's
@@ -331,81 +348,83 @@ def simulate_fleet(
     ]
     policy = make_dispatch_policy(config.policy, config.num_devices)
     select = policy.select
+    admits = [device.admit for device in devices]
+    finishes = [device.finish for device in devices]
     # Each workload's profile with its wear footprint, looked up once
-    # per arrival instead of re-read through the profile's property.
+    # per arrival.
     costs = {
         name: (profile, profile.wear_units) for name, profile in profiles.items()
     }
 
+    # The traffic columns as Python lists: the loop reads them per event.
+    arrival_s = arrivals.tolist()
+    max_losses = [slo.max_loss for slo in traffic.slo]
     # Completion heap: (time, sequence number, device id). The sequence
     # number makes simultaneous completions pop in start order.
     completions: List[Tuple[float, int, int]] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
     tick = 0
-    latencies: List[float] = []
+    # Per completion: when, which request, at what delivered loss.
+    finish_times: List[float] = []
+    finished_requests: List[int] = []
     delivered_losses: List[float] = []
     pe_deaths: List[PEDeath] = []
     availability: List[Tuple[float, int]] = [(0.0, config.num_devices)]
-    completed = rejected = dropped = slo_violations = 0
-    last_event_s = 0.0
-
-    def start_service(device: FleetDevice, profile: WorkloadProfile, now: float) -> None:
-        nonlocal tick
-        tick += 1
-        heappush(
-            completions,
-            (now + device.service_seconds(profile), tick, device.device_id),
-        )
-
-    def run_completion(now: float, device_id: int) -> None:
-        # The finished request carries its own arrival time and SLO.
-        nonlocal completed, dropped, slo_violations, last_event_s
-        device = devices[device_id]
-        request, deaths, dropped_requests = device.complete(now)
-        completed += 1
-        latencies.append(now - request.arrival_s)
-        loss = device.last_loss
-        delivered_losses.append(loss)
-        if loss > request.slo.max_loss + 1e-12:
-            slo_violations += 1
-        if deaths:
-            pe_deaths.extend(deaths)
-        if dropped_requests:
-            dropped += len(dropped_requests)
-        if device.death_time_s is not None:
-            alive = sum(1 for d in devices if d.alive)
-            availability.append((now, alive))
-        else:
-            next_profile = device.start_next()
-            if next_profile is not None:
-                start_service(device, next_profile, now)
-        if now > last_event_s:
-            last_event_s = now
-
-    for request in requests:
-        arrival = request.arrival_s
+    rejected = 0
+    now = 0.0
+    end = len(arrival_s)
+    # One pass over the arrivals plus a final one at +inf that drains
+    # the completions left once the last request has arrived. Each
+    # completion is one ``finish`` call and each admission one
+    # ``admit`` call; both return the completion time of a request that
+    # starts service, if any.
+    for index, arrival in enumerate(arrival_s + [math.inf]):
         while completions and completions[0][0] <= arrival:
-            time_s, _, device_id = heappop(completions)
-            run_completion(time_s, device_id)
-        workload = request.workload
+            now, _, device_id = heappop(completions)
+            finished, loss, finish_s, deaths = finishes[device_id](now)
+            finish_times.append(now)
+            finished_requests.append(finished)
+            delivered_losses.append(loss)
+            if finish_s is not None:
+                tick += 1
+                heappush(completions, (finish_s, tick, device_id))
+            if deaths:
+                pe_deaths.extend(deaths)
+                # Only budget deaths change the fault set here, so only
+                # a completion that killed PEs can retire its device.
+                if devices[device_id].death_time_s is not None:
+                    alive = sum(1 for d in devices if d.alive)
+                    availability.append((now, alive))
+        if index == end:
+            break
+        workload = workloads[index]
         profile, wear_units = costs[workload]
-        chosen = select(devices, wear_units, workload, request.slo.max_loss)
-        if arrival > last_event_s:
-            last_event_s = arrival
+        chosen = select(devices, wear_units, workload, max_losses[index])
         if chosen is None:
             rejected += 1
             continue
-        device = devices[chosen]
-        if device.enqueue(request, profile):
-            start_service(device, profile, arrival)
-    while completions:
-        time_s, _, device_id = heappop(completions)
-        run_completion(time_s, device_id)
+        finish_s = admits[chosen](index, workload, profile, arrival)
+        if finish_s is not None:
+            tick += 1
+            heappush(completions, (finish_s, tick, chosen))
 
-    duration = max(last_event_s, requests[-1].arrival_s)
-    latency_array = np.array(latencies, dtype=float)
+    # Completions pop in time order and arrivals do not decrease, so the
+    # last event is the later of the last completion and the last arrival.
+    duration = max(0.0, now, arrival_s[-1])
+    completed = len(finish_times)
+    dropped = sum(device.dropped for device in devices)
+    # Float64 subtraction and addition round exactly as Python floats do.
+    finished_array = np.array(finished_requests, dtype=np.int64)
+    latency_array = np.array(finish_times, dtype=float) - arrivals[finished_array]
     loss_array = np.array(delivered_losses, dtype=float)
+    slo_violations = int(
+        np.count_nonzero(
+            loss_array > np.array(max_losses)[finished_array] + 1e-12
+        )
+    )
+    latency_p50, latency_p99 = _percentiles(latency_array, 50.0, 99.0)
+    (loss_p99,) = _percentiles(loss_array, 99.0)
     death_times = [
         device.death_time_s
         for device in devices
@@ -438,15 +457,15 @@ def simulate_fleet(
     return FleetResult(
         policy=config.policy,
         num_devices=config.num_devices,
-        num_requests=len(requests),
+        num_requests=len(traffic),
         completed=completed,
         rejected=rejected,
         dropped=dropped,
         duration_s=duration,
         throughput_rps=completed / duration if duration > 0 else 0.0,
         latency_mean_s=float(latency_array.mean()) if latency_array.size else 0.0,
-        latency_p50_s=_percentile(latency_array, 50.0),
-        latency_p99_s=_percentile(latency_array, 99.0),
+        latency_p50_s=latency_p50,
+        latency_p99_s=latency_p99,
         mttf_series_s=fleet_mttf_series(rate_vectors, projection_budget, config.beta),
         mttf_parallel_s=fleet_mttf_parallel(rate_vectors, projection_budget, config.beta),
         device_stats=stats,
@@ -454,7 +473,7 @@ def simulate_fleet(
         pe_deaths=tuple(pe_deaths),
         mode=config.mode,
         delivered_loss_mean=float(loss_array.mean()) if loss_array.size else 0.0,
-        delivered_loss_p99=_percentile(loss_array, 99.0),
+        delivered_loss_p99=loss_p99,
         slo_violations=slo_violations,
         time_to_first_retirement_s=time_to_first_retirement,
         retirement_censored=retirement_censored,

@@ -1,9 +1,11 @@
 """Seeded arrival-process generators for the fleet simulator.
 
-A fleet scenario is a finite sequence of :class:`Request` objects —
-arrival times plus the workload each request asks for (a name resolving
-through :mod:`repro.workloads.registry`). Three generators cover the
-traffic shapes the fleet studies need:
+A fleet scenario is a finite sequence of requests — arrival times plus
+the workload each request asks for (a name resolving through
+:mod:`repro.workloads.registry`) and the accuracy SLO it carries. The
+generators return it as one read-only columnar :class:`Traffic`, which
+indexes and iterates as :class:`Request` rows. Three generators cover
+the traffic shapes the fleet studies need:
 
 * :func:`poisson_requests` — memoryless arrivals, i.i.d. workload
   draws: the benign baseline every queueing model assumes;
@@ -24,8 +26,10 @@ simulation is later chunked over worker processes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import count, starmap
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +61,83 @@ class Request:
     arrival_s: float
     workload: str
     slo: SLOClass = EXACT_SLO
+
+
+class Traffic(SequenceABC):
+    """A request stream stored as read-only columns.
+
+    ``arrival_s`` is a read-only float64 array; ``workload`` and ``slo``
+    are tuples with one entry per request. A request's position is its
+    index. Indexing and iteration yield :class:`Request` rows, slicing
+    yields a tuple of them (indices kept, as slicing a tuple of requests
+    does), and a stream compares equal to another stream or to any
+    sequence of the same requests. The event loop reads the columns
+    directly and never builds the rows.
+    """
+
+    __slots__ = ("arrival_s", "workload", "slo")
+
+    def __init__(
+        self,
+        arrival_s: Sequence[float],
+        workload: Sequence[str],
+        slo: Optional[Sequence[SLOClass]] = None,
+    ) -> None:
+        """Wrap the columns; ``slo=None`` makes every request exact."""
+        arrivals = np.array(arrival_s, dtype=float)
+        workload = tuple(workload)
+        slo = (EXACT_SLO,) * len(workload) if slo is None else tuple(slo)
+        if arrivals.shape != (len(workload),) or len(slo) != len(workload):
+            raise ConfigurationError("traffic columns must be 1-D and equally long")
+        arrivals.setflags(write=False)
+        for name, value in zip(self.__slots__, (arrivals, workload, slo)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_requests(cls, requests: Iterable[Request]) -> "Traffic":
+        """The columns of a sequence of requests (their indices dropped)."""
+        requests = tuple(requests)
+        return cls(
+            [request.arrival_s for request in requests],
+            [request.workload for request in requests],
+            [request.slo for request in requests],
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return (Traffic, (self.arrival_s, self.workload, self.slo))
+
+    def __len__(self) -> int:
+        return len(self.workload)
+
+    def __iter__(self) -> Iterator[Request]:
+        return starmap(
+            Request, zip(count(), self.arrival_s.tolist(), self.workload, self.slo)
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index = range(len(self))[index]
+        return Request(
+            index, float(self.arrival_s[index]), self.workload[index], self.slo[index]
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Traffic):
+            return (
+                self.workload == other.workload
+                and self.slo == other.slo
+                and np.array_equal(self.arrival_s, other.arrival_s)
+            )
+        if isinstance(other, SequenceABC):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Traffic({len(self)} requests)"
 
 
 @dataclass(frozen=True)
@@ -133,9 +214,16 @@ class WorkloadMix:
         return cls(DEFAULT_SKEWED_MIX)
 
 
-def _slo_table(mix: WorkloadMix) -> Dict[str, SLOClass]:
-    """Per-workload SLO lookup for the generators' inner loops."""
-    return {name: mix.slo_for(name) for name in mix.names}
+def _mix_traffic(arrivals: np.ndarray, picks: np.ndarray, mix: WorkloadMix) -> Traffic:
+    """A stream whose request ``i`` asks for mix entry ``picks[i]``."""
+    names = mix.names
+    slos = tuple(mix.slo_for(name) for name in names)
+    picks = picks.tolist()
+    return Traffic(
+        arrivals,
+        tuple(map(names.__getitem__, picks)),
+        tuple(map(slos.__getitem__, picks)),
+    )
 
 
 def _as_seed_sequence(seed: Seed) -> np.random.SeedSequence:
@@ -158,24 +246,14 @@ def poisson_requests(
     rate_rps: float,
     mix: WorkloadMix,
     seed: Seed = 2025,
-) -> Tuple[Request, ...]:
+) -> Traffic:
     """Poisson arrivals at ``rate_rps`` with i.i.d. workload draws."""
     _check_shape(num_requests, rate_rps)
     rng = np.random.default_rng(_as_seed_sequence(seed))
     gaps = rng.exponential(1.0 / rate_rps, size=num_requests)
     arrivals = np.cumsum(gaps)
     picks = rng.choice(len(mix.entries), size=num_requests, p=mix.probabilities)
-    names = mix.names
-    slos = _slo_table(mix)
-    return tuple(
-        Request(
-            index=i,
-            arrival_s=float(arrivals[i]),
-            workload=names[picks[i]],
-            slo=slos[names[picks[i]]],
-        )
-        for i in range(num_requests)
-    )
+    return _mix_traffic(arrivals, picks, mix)
 
 
 def bursty_requests(
@@ -185,7 +263,7 @@ def bursty_requests(
     seed: Seed = 2025,
     burst_mean: float = 8.0,
     burstiness: float = 4.0,
-) -> Tuple[Request, ...]:
+) -> Traffic:
     """Bursty (MMPP-style) arrivals; each burst carries one workload.
 
     Burst lengths are geometric with mean ``burst_mean``; within a burst
@@ -194,6 +272,13 @@ def bursty_requests(
     rate still averages roughly ``rate_rps``. Because a whole burst asks
     for the same workload, request cost is *correlated in time* — the
     stress pattern that separates wear-aware dispatch from round-robin.
+
+    Each burst draws its idle gap, its length, its workload and then its
+    intra-burst gaps in one ``rng.exponential(size=...)`` call, which
+    yields the same values in the same stream order as one scalar draw
+    per gap; the final burst draws only the gaps of the requests that
+    fit. The clock is one ``np.cumsum`` over every gap in arrival order,
+    which adds them one after another exactly as a running sum does.
     """
     _check_shape(num_requests, rate_rps)
     if burst_mean < 1:
@@ -201,43 +286,32 @@ def bursty_requests(
     if burstiness < 1:
         raise ConfigurationError(f"burstiness must be >= 1, got {burstiness}")
     rng = np.random.default_rng(_as_seed_sequence(seed))
-    names = mix.names
     # Each burst's workload is ``rng.choice(len(names), p=probabilities)``
     # done by hand: numpy draws one ``rng.random()`` and searches this
     # normalized CDF, so the stream is the same, minus re-validating
     # ``p`` and rebuilding the CDF on every burst.
     cdf = mix.probabilities.cumsum()
     cdf /= cdf[-1]
-    slos = _slo_table(mix)
     intra_gap_mean = 1.0 / (rate_rps * burstiness)
     # Idle time so one burst cycle still averages burst_mean / rate_rps.
     idle_mean = max(
         burst_mean / rate_rps - (burst_mean - 1.0) * intra_gap_mean,
         1.0 / rate_rps,
     )
-    requests: List[Request] = []
-    clock = 0.0
-    while len(requests) < num_requests:
-        clock += rng.exponential(idle_mean)
-        length = 1 + rng.geometric(1.0 / burst_mean)
-        workload = names[cdf.searchsorted(rng.random(), side="right")]
-        for position in range(int(length)):
-            if len(requests) >= num_requests:
-                break
-            if position:
-                clock += rng.exponential(intra_gap_mean)
-            requests.append(
-                Request(
-                    index=len(requests),
-                    arrival_s=clock,
-                    workload=workload,
-                    slo=slos[workload],
-                )
-            )
-    return tuple(requests)
+    gaps: List[float] = []
+    picks: List[int] = []
+    while len(picks) < num_requests:
+        gaps.append(rng.exponential(idle_mean))
+        length = 1 + int(rng.geometric(1.0 / burst_mean))
+        pick = int(cdf.searchsorted(rng.random(), side="right"))
+        length = min(length, num_requests - len(picks))
+        picks.extend([pick] * length)
+        if length > 1:
+            gaps.extend(rng.exponential(intra_gap_mean, size=length - 1).tolist())
+    return _mix_traffic(np.cumsum(gaps), np.array(picks), mix)
 
 
-def replay_requests(trace: Sequence[Tuple[float, str]]) -> Tuple[Request, ...]:
+def replay_requests(trace: Sequence[Tuple[float, str]]) -> Traffic:
     """Wrap a recorded ``(arrival_s, workload)`` trace as requests.
 
     Arrival times must be non-negative and non-decreasing — the event
@@ -245,7 +319,8 @@ def replay_requests(trace: Sequence[Tuple[float, str]]) -> Tuple[Request, ...]:
     """
     if not trace:
         raise ConfigurationError("a replay trace needs at least one request")
-    requests: List[Request] = []
+    arrivals: List[float] = []
+    workloads: List[str] = []
     previous = 0.0
     for index, (arrival, workload) in enumerate(trace):
         arrival = float(arrival)
@@ -255,9 +330,10 @@ def replay_requests(trace: Sequence[Tuple[float, str]]) -> Tuple[Request, ...]:
             )
         if not workload:
             raise ConfigurationError(f"trace entry {index} has no workload")
-        requests.append(Request(index=index, arrival_s=arrival, workload=workload))
+        arrivals.append(arrival)
+        workloads.append(workload)
         previous = arrival
-    return tuple(requests)
+    return Traffic(arrivals, workloads)
 
 
 def make_traffic(
@@ -266,7 +342,7 @@ def make_traffic(
     rate_rps: float,
     mix: Optional[WorkloadMix] = None,
     seed: Seed = 2025,
-) -> Tuple[Request, ...]:
+) -> Traffic:
     """Build one named arrival process (the CLI-facing constructor)."""
     mix = mix or WorkloadMix.default_skewed()
     if kind == "poisson":

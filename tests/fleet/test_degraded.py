@@ -16,7 +16,7 @@ from repro.accuracy import SLOClass
 from repro.faults.injection import EnduranceBudgets
 from repro.fleet.device import FleetDevice, WorkloadProfile
 from repro.fleet.simulate import FleetConfig, simulate_fleet
-from repro.fleet.traffic import Request, WorkloadMix, poisson_requests
+from repro.fleet.traffic import WorkloadMix, poisson_requests
 from repro.runtime import content_hash
 
 
@@ -25,20 +25,15 @@ def profile_for(accelerator, wear=1, cycles=1000, name="toy"):
     return WorkloadProfile(workload=name, counts=counts, cycles=cycles)
 
 
-def request(index=0, arrival=0.0, workload="toy"):
-    return Request(index=index, arrival_s=arrival, workload=workload)
-
-
 def drain(device, num_requests, profile):
-    """Serve ``num_requests`` back to back; returns per-request times."""
-    times = []
+    """Serve ``num_requests`` back to back; returns (time, loss) pairs."""
+    served = []
     clock = 0.0
     for index in range(num_requests):
-        device.enqueue(request(index, arrival=clock), profile)
-        clock += device.service_seconds(profile)
-        device.complete(time_s=clock)
-        times.append(clock)
-    return times
+        clock = device.admit(index, "toy", profile, now=clock)
+        _, loss, _, _ = device.finish(clock)
+        served.append((clock, loss))
+    return served
 
 
 class TestZeroFaultEquivalence:
@@ -79,9 +74,10 @@ class TestZeroFaultEquivalence:
         profile = profile_for(small_torus, wear=2, cycles=50_000)
         normal = FleetDevice(0, small_torus)
         degraded = FleetDevice(0, small_torus, mode="serve-degraded-approx")
-        assert drain(normal, 10, profile) == drain(degraded, 10, profile)
+        served = drain(degraded, 10, profile)
+        assert drain(normal, 10, profile) == served
         assert np.array_equal(normal.ledger, degraded.ledger)
-        assert degraded.last_loss == 0.0
+        assert {loss for _, loss in served} == {0.0}
         assert not degraded.degraded
 
     def test_healthy_degraded_device_predicts_zero_loss(self, small_torus):
@@ -111,10 +107,11 @@ class TestDegradedRegime:
             0, small_torus, mode="serve-degraded-approx",
             min_alive_fraction=0.5,
         )
-        healthy_time = device.service_seconds(profile)
+        healthy_time = device.admit(0, "toy", profile, now=0.0)
+        device.finish(healthy_time)
         self.kill(device, 11)
         assert device.slowdown > 1.0
-        assert device.service_seconds(profile) == healthy_time
+        assert device.admit(1, "toy", profile, now=0.0) == healthy_time
 
     def test_retire_mode_never_reports_degraded(self, small_torus):
         device = FleetDevice(0, small_torus, min_alive_fraction=0.5)
@@ -130,11 +127,11 @@ class TestDegradedRegime:
         )
         self.kill(device, 11)
         admitted = device.predicted_loss("toy")
-        device.enqueue(request(0), profile_for(small_torus))
+        device.admit(0, "toy", profile_for(small_torus), now=0.0)
         self.kill(device, 5, start=11)  # more deaths after admission
         assert device.predicted_loss("toy") > admitted
-        device.complete(time_s=1.0)
-        assert device.last_loss == admitted
+        _, loss, _, _ = device.finish(1.0)
+        assert loss == admitted
 
     def test_retires_only_when_every_pe_is_dead(self, small_torus):
         device = FleetDevice(
@@ -143,12 +140,12 @@ class TestDegradedRegime:
         )
         profile = profile_for(small_torus)
         self.kill(device, 19)  # one survivor: still serving
-        device.enqueue(request(0), profile)
-        device.complete(time_s=1.0)
+        device.admit(0, "toy", profile, now=0.0)
+        device.finish(1.0)
         assert device.alive
         self.kill(device, 1, start=19)  # the last PE dies
-        device.enqueue(request(1), profile)
-        device.complete(time_s=2.0)
+        device.admit(1, "toy", profile, now=1.0)
+        device.finish(2.0)
         assert not device.alive
 
     def test_dead_device_predicts_infinite_loss(self, small_torus):
@@ -156,8 +153,8 @@ class TestDegradedRegime:
         device = FleetDevice(
             0, small_torus, budgets=budgets, mode="serve-degraded-approx",
         )
-        device.enqueue(request(0), profile_for(small_torus))
-        device.complete(time_s=1.0)
+        device.admit(0, "toy", profile_for(small_torus), now=0.0)
+        device.finish(1.0)
         assert not device.alive
         assert device.predicted_loss("toy") == float("inf")
 

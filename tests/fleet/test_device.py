@@ -14,7 +14,6 @@ from repro.experiments.common import paper_accelerator
 from repro.faults.injection import EnduranceBudgets
 from repro.fleet import device as device_module
 from repro.fleet.device import FleetDevice, WorkloadProfile, build_profile
-from repro.fleet.traffic import Request
 from repro.runtime import Memo
 
 
@@ -23,14 +22,25 @@ def profile_for(accelerator, wear=1, cycles=1000, name="toy"):
     return WorkloadProfile(workload=name, counts=counts, cycles=cycles)
 
 
-def request(index=0, arrival=0.0, workload="toy"):
-    return Request(index=index, arrival_s=arrival, workload=workload)
-
-
 class TestWorkloadProfile:
     def test_wear_units_is_total_increment(self, small_torus):
         profile = profile_for(small_torus, wear=2)
         assert profile.wear_units == 2 * small_torus.array.num_pes
+        assert profile.peak_count == 2
+
+    def test_unpickling_derives_what_old_pickles_lack(self, small_torus):
+        """Profiles pickled before ``wear_units``/``peak_count`` were
+        plain attributes still get them when loaded."""
+        profile = profile_for(small_torus, wear=3)
+        state = {
+            name: value
+            for name, value in profile.__dict__.items()
+            if name not in ("wear_units", "peak_count")
+        }
+        clone = WorkloadProfile.__new__(WorkloadProfile)
+        clone.__setstate__(state)
+        assert clone.wear_units == profile.wear_units
+        assert clone.peak_count == 3
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError):
@@ -145,18 +155,18 @@ class TestConstruction:
 
 class TestQueueMechanics:
     def test_enqueue_starts_service_when_idle(self, small_torus):
-        device = FleetDevice(0, small_torus)
-        profile = profile_for(small_torus)
-        assert device.enqueue(request(0), profile) is True
-        assert device.enqueue(request(1), profile) is False
+        device = FleetDevice(0, small_torus, clock_mhz=100.0)
+        profile = profile_for(small_torus, cycles=1_000_000)
+        assert device.admit(0, "toy", profile, now=1.0) == pytest.approx(1.01)
+        assert device.admit(1, "toy", profile, now=1.0) is None
         assert device.outstanding == 2
         assert device.queue_length == 1
-        assert device.in_service.index == 0
+        assert device.in_service == 0
 
     def test_dispatched_wear_counts_at_enqueue(self, small_torus):
         device = FleetDevice(0, small_torus)
         profile = profile_for(small_torus, wear=3)
-        device.enqueue(request(0), profile)
+        device.admit(0, "toy", profile, now=0.0)
         assert device.dispatched_wear == profile.wear_units
         assert device.total_usage == 0  # wear lands at completion
 
@@ -164,33 +174,38 @@ class TestQueueMechanics:
         device = FleetDevice(0, small_torus, queue_limit=2)
         profile = profile_for(small_torus)
         for index in range(3):  # one in service + two queued
-            device.enqueue(request(index), profile)
+            device.admit(index, "toy", profile, now=0.0)
         assert not device.can_accept
         with pytest.raises(SimulationError):
-            device.enqueue(request(3), profile)
+            device.admit(3, "toy", profile, now=0.0)
+
+    def test_finish_frees_a_queue_slot(self, small_torus):
+        device = FleetDevice(0, small_torus, queue_limit=1)
+        profile = profile_for(small_torus)
+        device.admit(0, "toy", profile, now=0.0)
+        device.admit(1, "toy", profile, now=0.0)
+        assert not device.can_accept
+        device.finish(1.0)  # request 1 moves from the queue into service
+        assert device.can_accept
+        assert device.in_service == 1 and device.queue_length == 0
 
     def test_complete_applies_wear_and_serves_next(self, small_torus):
-        device = FleetDevice(0, small_torus)
-        profile = profile_for(small_torus, wear=2)
-        device.enqueue(request(0), profile)
-        device.enqueue(request(1), profile)
-        finished, deaths, dropped = device.complete(time_s=1.0)
-        assert finished.index == 0
-        assert deaths == [] and dropped == []
+        device = FleetDevice(0, small_torus, clock_mhz=100.0)
+        profile = profile_for(small_torus, wear=2, cycles=1_000_000)
+        device.admit(0, "toy", profile, now=0.0)
+        device.admit(1, "toy", profile, now=0.0)
+        finished, loss, finish_s, deaths = device.finish(1.0)
+        assert (finished, loss, deaths) == (0, 0.0, ())
+        assert finish_s == pytest.approx(1.01)  # request 1 started at 1.0
         assert device.served == 1
         assert (device.ledger == 2).all()
-        assert device.start_next() is profile
-        assert device.in_service.index == 1
+        assert device.in_service == 1
+        assert device.finish(finish_s)[:3] == (1, 0.0, None)  # queue empty
+        assert device.in_service is None
 
     def test_complete_when_idle_rejected(self, small_torus):
         with pytest.raises(SimulationError):
-            FleetDevice(0, small_torus).complete(time_s=0.0)
-
-    def test_start_next_while_busy_rejected(self, small_torus):
-        device = FleetDevice(0, small_torus)
-        device.enqueue(request(0), profile_for(small_torus))
-        with pytest.raises(SimulationError):
-            device.start_next()
+            FleetDevice(0, small_torus).finish(0.0)
 
     def test_ledger_view_is_read_only(self, small_torus):
         device = FleetDevice(0, small_torus)
@@ -206,11 +221,28 @@ class TestWearOutAndRetirement:
             0, small_torus, budgets=EnduranceBudgets(budgets),
             min_alive_fraction=0.1,
         )
-        device.enqueue(request(0), profile_for(small_torus))
-        _, deaths, dropped = device.complete(time_s=2.5)
+        device.admit(0, "toy", profile_for(small_torus), now=0.0)
+        _, _, _, deaths = device.finish(2.5)
         assert [(d.u, d.v, d.time_s) for d in deaths] == [(0, 0, 2.5)]
-        assert device.alive and dropped == []
+        assert device.alive and device.dropped == 0
         assert device.alive_fraction < 1.0
+
+    def test_fractional_budget_dies_at_its_ceiling(self, small_torus):
+        """A budget of 2.5 is crossed by the third unit of wear, not the
+        second: the integer check compares against ``ceil(budget)``."""
+        budgets = np.full(small_torus.array.shape, 100.0)
+        budgets[1, 2] = 2.5
+        device = FleetDevice(
+            0, small_torus, budgets=EnduranceBudgets(budgets),
+            min_alive_fraction=0.1,
+        )
+        profile = profile_for(small_torus)
+        deaths = []
+        for index in range(4):
+            device.admit(index, "toy", profile, now=float(index))
+            deaths.append(device.finish(index + 0.5)[3])
+        assert [len(d) for d in deaths] == [0, 0, 1, 0]
+        assert (deaths[2][0].u, deaths[2][0].v) == (2, 1)
 
     def test_retirement_drops_queue(self, small_torus):
         # Every PE's budget crosses at once -> the device retires and
@@ -218,11 +250,13 @@ class TestWearOutAndRetirement:
         budgets = EnduranceBudgets.uniform(small_torus.array, 1.0)
         device = FleetDevice(0, small_torus, budgets=budgets)
         profile = profile_for(small_torus)
-        device.enqueue(request(0), profile)
-        device.enqueue(request(1), profile)
-        _, deaths, dropped = device.complete(time_s=3.0)
+        device.admit(0, "toy", profile, now=0.0)
+        device.admit(1, "toy", profile, now=0.0)
+        _, _, finish_s, deaths = device.finish(3.0)
         assert len(deaths) == small_torus.array.num_pes
-        assert [r.index for r in dropped] == [1]
+        assert finish_s is None  # nothing starts on a retired device
+        assert device.dropped == 1
+        assert device.queue_length == 0
         assert not device.alive
         assert device.death_time_s == 3.0
         assert not device.can_accept
@@ -231,12 +265,12 @@ class TestWearOutAndRetirement:
         budgets = EnduranceBudgets.uniform(small_torus.array, 10.0)
         device = FleetDevice(0, small_torus, budgets=budgets,
                              min_alive_fraction=0.1)
-        device.enqueue(request(0), profile_for(small_torus, wear=2))
-        device.complete(time_s=1.0)
+        device.admit(0, "toy", profile_for(small_torus, wear=2), now=0.0)
+        device.finish(1.0)
         assert device.peak_wear == pytest.approx(0.2)
         bare = FleetDevice(1, small_torus)
-        bare.enqueue(request(0), profile_for(small_torus, wear=2))
-        bare.complete(time_s=1.0)
+        bare.admit(0, "toy", profile_for(small_torus, wear=2), now=0.0)
+        bare.finish(1.0)
         assert bare.peak_wear == 2.0
 
 
@@ -244,7 +278,7 @@ class TestServiceModel:
     def test_service_seconds_from_cycle_model(self, small_torus):
         device = FleetDevice(0, small_torus, clock_mhz=100.0)
         profile = profile_for(small_torus, cycles=1_000_000)
-        assert device.service_seconds(profile) == pytest.approx(0.01)
+        assert device.admit(0, "toy", profile, now=2.0) == pytest.approx(2.01)
 
     def test_dead_pes_slow_the_device(self, small_torus):
         budgets = np.full(small_torus.array.shape, 1e9)
@@ -254,10 +288,14 @@ class TestServiceModel:
             min_alive_fraction=0.1,
         )
         assert device.slowdown == 1.0
-        device.enqueue(request(0), profile_for(small_torus))
-        device.complete(time_s=1.0)
+        profile = profile_for(small_torus, cycles=1000)
+        device.admit(0, "toy", profile, now=0.0)
+        device.admit(1, "toy", profile, now=0.0)
+        _, _, finish_s, _ = device.finish(1.0)
         num_pes = small_torus.array.num_pes
         assert device.slowdown == pytest.approx(num_pes / (num_pes - 1))
+        # The request started after the death runs at the slower rate.
+        assert finish_s - 1.0 == pytest.approx(1000 / 200e6 * device.slowdown)
 
 
 class TestPredictedLoss:
@@ -271,8 +309,8 @@ class TestPredictedLoss:
             mode="serve-degraded-approx", min_alive_fraction=0.5,
         )
         assert device.predicted_loss("toy") == 0.0
-        device.enqueue(request(0), profile_for(small_torus))
-        _, deaths, _ = device.complete(time_s=1.0)
+        device.admit(0, "toy", profile_for(small_torus), now=0.0)
+        _, _, _, deaths = device.finish(1.0)
         assert len(deaths) == 11
         assert device.degraded
         assert device.predicted_loss("toy") > 0.0

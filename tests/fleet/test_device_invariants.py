@@ -1,13 +1,14 @@
 """Device-state invariants: every memoized read equals its from-scratch value.
 
 :class:`~repro.fleet.device.FleetDevice` keeps ``can_accept`` as a
-plain attribute and memoizes ``service_seconds``, ``peak_wear``,
+plain attribute, memoizes the service-time factor, ``peak_wear``,
 ``predicted_loss`` and the retirement test on the fault version or the
-completion count. These tests drive one device through random
-``enqueue`` / ``complete`` / ``start_next`` / ``faults.kill`` sequences
-(single PEs or whole rows)
-and, after every step, compare each read against a shadow model that
-recomputes it from the operations alone.
+completion count, defers wear application, and checks budgets on an
+int64 ``ceil(budget) - ledger`` array. These tests drive one device
+through random ``admit`` / ``finish`` / ``faults.kill`` sequences
+(single PEs or whole rows) and, after every step, compare each read and
+every returned completion time, delivered loss and PE death against a
+shadow model that recomputes them from the operations alone.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.arch.topology import Topology
 from repro.errors import SimulationError
 from repro.faults.injection import EnduranceBudgets
 from repro.fleet.device import DEVICE_MODES, FleetDevice, WorkloadProfile
-from repro.fleet.traffic import Request
 
 #: Six PEs, so random kill sequences regularly empty the whole array.
 ACCELERATOR = Accelerator(
@@ -35,9 +35,8 @@ CLOCK_MHZ = 200.0
 
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("enqueue"), st.integers(0, len(WORKLOADS) - 1)),
-        st.tuples(st.just("complete")),
-        st.tuples(st.just("start_next")),
+        st.tuples(st.just("admit"), st.integers(0, len(WORKLOADS) - 1)),
+        st.tuples(st.just("finish")),
         st.tuples(
             st.just("kill"),
             st.integers(0, SHAPE[1] - 1),
@@ -74,8 +73,10 @@ class Shadow:
         self.ledger = np.zeros(SHAPE, dtype=np.int64)
         self.dead = np.zeros(SHAPE, dtype=bool)
         self.alive = True
+        #: ``(request index, profile, admitted loss)`` in service / queued.
         self.busy = None
         self.queue = []
+        self.dropped = 0
         self.model = make_accuracy_model("pruning")
 
     @property
@@ -112,11 +113,17 @@ class Shadow:
         dead_fraction = 1.0 - self.num_alive / NUM_PES
         return self.model.loss(dead_fraction, accuracy_profile_for(workload))
 
-    def complete(self, profile):
+    def finish(self, now):
+        """Finish the request in service; returns what ``finish`` should."""
+        index, profile, loss = self.busy
         self.busy = None
         self.ledger += profile.counts
+        deaths = []
         if self.budgets is not None:
-            self.dead |= self.ledger >= self.budgets
+            crossed = (self.ledger >= self.budgets) & ~self.dead
+            rows, cols = np.nonzero(crossed)
+            deaths = [(now, u, v) for v, u in zip(rows.tolist(), cols.tolist())]
+            self.dead |= crossed
         if self.alive:
             if self.mode == "retire":
                 retired = self.num_alive / NUM_PES < self.min_alive_fraction
@@ -124,19 +131,23 @@ class Shadow:
                 retired = self.num_alive == 0
             if retired:
                 self.alive = False
-                dropped, self.queue = self.queue, []
-                return dropped
-        return []
+                self.dropped += len(self.queue)
+                self.queue = []
+        finish_s = None
+        if self.queue:
+            self.busy = self.queue.pop(0)
+            finish_s = now + self.service_seconds(self.busy[1])
+        return index, loss, finish_s, deaths
 
     def check(self, profiles):
         device = self.device
         assert device.alive == self.alive
         assert device.can_accept == self.can_accept()
         assert device.outstanding == len(self.queue) + (self.busy is not None)
+        assert device.dropped == self.dropped
         assert np.array_equal(device.faults.dead_mask, self.dead)
         assert device.peak_wear == self.peak_wear()
-        for name, profile in profiles.items():
-            assert device.service_seconds(profile) == self.service_seconds(profile)
+        for name in profiles:
             assert device.predicted_loss(name) == self.predicted_loss(name)
 
 
@@ -170,41 +181,32 @@ def test_reads_match_from_scratch_state(
     now = 0.0
     for index, op in enumerate(ops):
         kind = op[0]
-        if kind == "enqueue":
+        if kind == "admit":
             profile = profiles[WORKLOADS[op[1]]]
-            request = Request(index=index, arrival_s=now, workload=profile.workload)
             if not shadow.can_accept():
                 with pytest.raises(SimulationError):
-                    device.enqueue(request, profile)
-            elif shadow.busy is None:
-                assert device.enqueue(request, profile) is True
-                shadow.busy = profile
+                    device.admit(index, profile.workload, profile, now)
+                continue
+            entry = (index, profile, shadow.predicted_loss(profile.workload))
+            finish_s = device.admit(index, profile.workload, profile, now)
+            if shadow.busy is None:
+                assert finish_s == now + shadow.service_seconds(profile)
+                shadow.busy = entry
             else:
-                assert device.enqueue(request, profile) is False
-                shadow.queue.append(request)
-        elif kind == "complete":
+                assert finish_s is None
+                shadow.queue.append(entry)
+        elif kind == "finish":
             now += 1.0
             if shadow.busy is None:
                 with pytest.raises(SimulationError):
-                    device.complete(now)
+                    device.finish(now)
                 continue
-            _, _, dropped = device.complete(now)
-            expected = shadow.complete(shadow.busy)
-            assert dropped == expected
+            finished, loss, finish_s, deaths = device.finish(now)
+            expected = shadow.finish(now)
+            assert (finished, loss, finish_s) == expected[:3]
+            assert [(d.time_s, d.u, d.v) for d in deaths] == expected[3]
             if not shadow.alive:
                 assert device.death_time_s is not None
-        elif kind == "start_next":
-            if shadow.busy is not None:
-                with pytest.raises(SimulationError):
-                    device.start_next()
-                continue
-            started = device.start_next()
-            if shadow.queue:
-                head = shadow.queue.pop(0)
-                assert started is profiles[head.workload]
-                shadow.busy = started
-            else:
-                assert started is None
         elif kind == "kill":
             _, u, v = op
             device.faults.kill(u, v)
@@ -215,3 +217,64 @@ def test_reads_match_from_scratch_state(
                 device.faults.kill(u, v)
             shadow.dead[v, :] = True
         shadow.check(profiles)
+
+
+#: Budget fields for the crossing check: integral ones from
+#: ``EnduranceBudgets.uniform`` (a PE dies the moment its ledger reaches
+#: the budget), integral per-PE draws, and fractional draws (it dies at
+#: the next integer up).
+budget_fields = st.one_of(
+    st.integers(1, 30).map(
+        lambda budget: EnduranceBudgets.uniform(ACCELERATOR.array, budget).budgets
+    ),
+    st.lists(st.integers(1, 30), min_size=NUM_PES, max_size=NUM_PES).map(
+        lambda values: np.array(values, dtype=float).reshape(SHAPE)
+    ),
+    st.lists(
+        st.floats(0.5, 30.0, allow_nan=False), min_size=NUM_PES, max_size=NUM_PES
+    ).map(lambda values: np.array(values).reshape(SHAPE)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    budgets=budget_fields,
+    wear=st.lists(
+        st.lists(st.integers(0, 4), min_size=NUM_PES, max_size=NUM_PES),
+        min_size=1,
+        max_size=4,
+    ),
+    order=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+)
+def test_remaining_budget_check_matches_a_ledger_scan(budgets, wear, order):
+    """The int64 ``ceil(budget) - ledger <= 0`` check kills exactly the
+    PEs a from-scratch ``ledger >= budget`` scan does: at the same
+    completion, at the same time, at the same coordinates."""
+    profiles = [
+        WorkloadProfile(f"w{i}", np.array(counts).reshape(SHAPE), cycles=1000)
+        for i, counts in enumerate(wear)
+    ]
+    device = FleetDevice(
+        0,
+        ACCELERATOR,
+        budgets=EnduranceBudgets(budgets),
+        queue_limit=len(order),
+        min_alive_fraction=1e-9,
+        mode="serve-degraded-approx",
+    )
+    ledger = np.zeros(SHAPE, dtype=np.int64)
+    dead = np.zeros(SHAPE, dtype=bool)
+    for step, pick in enumerate(order):
+        if not device.alive:
+            break
+        profile = profiles[pick % len(profiles)]
+        device.admit(step, profile.workload, profile, now=float(step))
+        _, _, _, deaths = device.finish(step + 0.5)
+        ledger += profile.counts
+        crossed = (ledger >= budgets) & ~dead
+        dead |= crossed
+        rows, cols = np.nonzero(crossed)
+        expected = [(step + 0.5, u, v) for v, u in zip(rows.tolist(), cols.tolist())]
+        assert [(d.time_s, d.u, d.v) for d in deaths] == expected
+        assert np.array_equal(device.faults.dead_mask, dead)
+    assert np.array_equal(device.ledger, ledger)

@@ -12,7 +12,13 @@ from repro.fleet.simulate import (
     fleet_mttf_series,
     simulate_fleet,
 )
-from repro.fleet.traffic import WorkloadMix, bursty_requests, replay_requests
+from repro.fleet.traffic import (
+    Request,
+    WorkloadMix,
+    bursty_requests,
+    replay_requests,
+)
+from repro.runtime import content_hash
 
 
 def toy_profiles(accelerator, light_wear=1, heavy_wear=8):
@@ -147,6 +153,46 @@ class TestValidation:
             simulate_fleet(
                 toy_profiles(small_torus), requests, accelerator=small_torus
             )
+
+    def test_missing_profile_names_the_first_request(self, small_torus):
+        requests = replay_requests(
+            [(0.0, "light"), (1.0, "heavy"), (2.0, "unknown"), (3.0, "unknown")]
+        )
+        with pytest.raises(ConfigurationError, match="request 2 asks for 'unknown'"):
+            simulate_fleet(
+                toy_profiles(small_torus), requests, accelerator=small_torus
+            )
+
+    def test_decreasing_arrivals_rejected(self, small_torus):
+        """Out-of-order arrivals are an error naming the first request
+        that arrives early, not a silently wrong schedule."""
+        requests = [
+            Request(index=index, arrival_s=arrival, workload="light")
+            for index, arrival in enumerate((5.0, 1.0, 0.5))
+        ]
+        config = FleetConfig(num_devices=1)
+        with pytest.raises(
+            ConfigurationError, match=r"request 1 arrives at 1.0 s, before request 0"
+        ):
+            simulate_fleet(
+                toy_profiles(small_torus), requests, small_torus, config
+            )
+        # Equal arrival times are in order.
+        ties = [
+            Request(index=index, arrival_s=1.0, workload="light")
+            for index in range(3)
+        ]
+        result = simulate_fleet(toy_profiles(small_torus), ties, small_torus, config)
+        assert result.completed == 3
+
+    def test_request_tuples_run_like_traffic(self, small_torus):
+        """Any sequence of requests is read into the columnar form."""
+        traffic = bursty_requests(80, 1000.0, MIX, seed=3)
+        profiles = toy_profiles(small_torus)
+        config = FleetConfig(mean_budget=80.0)
+        columnar = simulate_fleet(profiles, traffic, small_torus, config, seed=3)
+        rows = simulate_fleet(profiles, tuple(traffic), small_torus, config, seed=3)
+        assert content_hash(rows) == content_hash(columnar)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Tests for the seeded arrival-process generators."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from repro.accuracy.slo import SLOClass
 from repro.errors import ConfigurationError
 from repro.fleet.traffic import (
     Request,
+    Traffic,
     WorkloadMix,
     bursty_requests,
     make_traffic,
@@ -115,6 +118,71 @@ class TestReplay:
             replay_requests([(1.0, "a"), (0.5, "b")])
         with pytest.raises(ConfigurationError):
             replay_requests([(0.0, "")])
+
+
+TOLERANT = SLOClass.tolerant(0.2)
+
+
+class TestTraffic:
+    """The columnar stream behaves as the tuple of requests it replaces."""
+
+    def stream(self):
+        return Traffic([0.5, 1.25, 3.0], ["a", "b", "a"], [TOLERANT, TOLERANT, TOLERANT])
+
+    def rows(self):
+        return (
+            Request(0, 0.5, "a", TOLERANT),
+            Request(1, 1.25, "b", TOLERANT),
+            Request(2, 3.0, "a", TOLERANT),
+        )
+
+    def test_indexes_iterates_and_slices_as_rows(self):
+        traffic, rows = self.stream(), self.rows()
+        assert len(traffic) == 3
+        assert tuple(traffic) == rows
+        assert traffic[1] == rows[1] and traffic[-1] == rows[-1]
+        assert traffic[1:] == rows[1:]  # a tuple, indices kept
+        with pytest.raises(IndexError):
+            traffic[3]
+
+    def test_compares_equal_to_streams_and_row_sequences(self):
+        traffic = self.stream()
+        assert traffic == self.stream()
+        assert traffic == self.rows() and traffic == list(self.rows())
+        assert traffic != Traffic([0.5, 1.25, 3.0], ["a", "b", "a"])
+        assert traffic != self.rows()[:2]
+
+    def test_slo_defaults_to_exact(self):
+        traffic = Traffic([0.0, 1.0], ["a", "b"])
+        assert {request.slo for request in traffic} == {SLOClass.exact()}
+
+    def test_is_read_only(self):
+        traffic = self.stream()
+        with pytest.raises(ValueError):
+            traffic.arrival_s[0] = 9.0
+        with pytest.raises(AttributeError):
+            traffic.workload = ("c", "c", "c")
+
+    def test_pickles_and_reads_back_from_rows(self):
+        traffic = self.stream()
+        clone = pickle.loads(pickle.dumps(traffic))
+        assert clone == traffic
+        assert not clone.arrival_s.flags.writeable
+        assert Traffic.from_requests(self.rows()) == traffic
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ConfigurationError):
+            Traffic([0.0, 1.0], ["a"])
+        with pytest.raises(ConfigurationError):
+            Traffic([0.0], ["a"], [TOLERANT, TOLERANT])
+
+    def test_generators_return_columns(self):
+        for traffic in (
+            poisson_requests(5, 1.0, MIX, seed=1),
+            bursty_requests(5, 1.0, MIX, seed=1),
+            replay_requests([(0.0, "a")]),
+        ):
+            assert isinstance(traffic, Traffic)
 
 
 class TestMakeTraffic:
