@@ -206,7 +206,8 @@ _CACHE: Dict[Tuple, Schedule] = {}
 #: JSON file. Disable by setting the environment variable
 #: ``REPRO_SCHEDULE_CACHE=off``; relocate it with ``REPRO_CACHE_DIR``.
 _DISK_CACHE: Optional[Dict[str, dict]] = None
-_DISK_CACHE_DIRTY = False
+#: Entries this process computed and has not saved yet.
+_DISK_CACHE_DIRTY: Dict[str, dict] = {}
 
 
 def _disk_cache_path():
@@ -242,12 +243,13 @@ def _load_disk_cache() -> Dict[str, dict]:
 def save_schedule_cache() -> None:
     """Flush newly computed schedules to the on-disk cache (best effort).
 
-    Merges with whatever is on disk first, so concurrent worker
-    processes (a parallel Fig. 8 sweep scheduling different networks)
-    accumulate entries instead of overwriting each other's.
+    Only the entries computed since the last flush are written, merged
+    into whatever is on disk, so concurrent worker processes (a parallel
+    Fig. 8 sweep scheduling different networks) accumulate entries
+    instead of overwriting each other's. Pool workers call this at the
+    end of every task, since they exit without running ``atexit`` hooks.
     """
-    global _DISK_CACHE_DIRTY
-    if not _DISK_CACHE_DIRTY or _DISK_CACHE is None:
+    if not _DISK_CACHE_DIRTY:
         return
     path = _disk_cache_path()
     if path is None:
@@ -261,7 +263,7 @@ def save_schedule_cache() -> None:
                 merged = json.loads(path.read_text())
             except (OSError, ValueError):
                 merged = {}
-        merged.update(_DISK_CACHE)
+        merged.update(_DISK_CACHE_DIRTY)
         path.parent.mkdir(parents=True, exist_ok=True)
         # Atomic write: a worker killed mid-flush (chaos crash, OOM)
         # must never leave a torn JSON file that silently drops every
@@ -269,7 +271,7 @@ def save_schedule_cache() -> None:
         from repro.resilience import atomic_write_text
 
         atomic_write_text(path, json.dumps(merged))
-        _DISK_CACHE_DIRTY = False
+        _DISK_CACHE_DIRTY.clear()
     except OSError:
         pass
 
@@ -394,9 +396,9 @@ class Scheduler:
         return self._build_schedule(layer, mapping)
 
     def _to_disk(self, layer: LayerShape, schedule: Schedule) -> None:
-        global _DISK_CACHE_DIRTY
         mapping = schedule.mapping
-        _load_disk_cache()[self._disk_key(layer)] = {
+        key = self._disk_key(layer)
+        _load_disk_cache()[key] = _DISK_CACHE_DIRTY[key] = {
             "dim_x": mapping.spatial_x.dim,
             "fx": mapping.spatial_x.factor,
             "dim_y": mapping.spatial_y.dim,
@@ -408,7 +410,6 @@ class Scheduler:
             "dim_y2": mapping.spatial_y2.dim if mapping.spatial_y2 else None,
             "fy2": mapping.spatial_y2.factor if mapping.spatial_y2 else None,
         }
-        _DISK_CACHE_DIRTY = True
 
     def _search_best(self, layer: LayerShape) -> Schedule:
         """Delegate to the search engine (exhaustive / beam modes)."""

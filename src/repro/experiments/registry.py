@@ -28,6 +28,7 @@ from __future__ import annotations
 import importlib
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
@@ -49,8 +50,13 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def package_version() -> str:
-    """The installed package version (falls back to the source tree's)."""
+    """The installed package version (falls back to the source tree's).
+
+    Looked up once per process: it cannot change while the process runs,
+    and every run manifest and gateway content key asks for it.
+    """
     try:
         from importlib.metadata import PackageNotFoundError, version
 

@@ -26,7 +26,12 @@ from repro.errors import ConfigurationError
 from repro.faults.injection import sample_endurance_budgets
 from repro.reliability.weibull import JEDEC_BETA
 from repro.resilience import CheckpointJournal
-from repro.runtime import ParallelRunner, accelerator_fingerprint, content_hash
+from repro.runtime import (
+    ParallelRunner,
+    accelerator_fingerprint,
+    content_hash,
+    seed_sequence,
+)
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -211,9 +216,7 @@ def sample_fault_scenarios(
         )
     if chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
-    sequence = (
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    )
+    sequence = seed_sequence(seed)
     scenario_seeds = sequence.spawn(num_scenarios)
     streams = tuple(streams)
     chunks = [

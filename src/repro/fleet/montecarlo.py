@@ -28,7 +28,12 @@ from repro.fleet.device import WorkloadProfile, build_profiles
 from repro.fleet.simulate import FleetConfig, FleetResult, simulate_fleet
 from repro.fleet.traffic import WorkloadMix, make_traffic
 from repro.resilience import CheckpointJournal
-from repro.runtime import ParallelRunner, accelerator_fingerprint, content_hash
+from repro.runtime import (
+    ParallelRunner,
+    accelerator_fingerprint,
+    content_hash,
+    seed_sequence,
+)
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -186,17 +191,7 @@ def sample_fleet_scenarios(
         profiles = build_profiles(mix.names, accelerator)
     if rate_rps is None:
         rate_rps = calibrated_rate(profiles, mix, config)
-    # Rebuild a passed-in SeedSequence from its identity (see the same
-    # guard in simulate_fleet): several samplings sharing one sequence
-    # object — the common-random-number policy brackets — must each see
-    # the identical scenario seeds, regardless of call order.
-    sequence = (
-        np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=seed.spawn_key
-        )
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
+    sequence = seed_sequence(seed)
     scenario_seeds = sequence.spawn(num_scenarios)
     chunks = [
         scenario_seeds[start : start + chunk_size]

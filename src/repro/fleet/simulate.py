@@ -45,6 +45,7 @@ from repro.fleet.device import DEVICE_MODES, FleetDevice, PEDeath, WorkloadProfi
 from repro.fleet.dispatch import make_dispatch_policy
 from repro.fleet.traffic import Request, Traffic
 from repro.reliability.weibull import JEDEC_BETA, WeibullModel
+from repro.runtime import seed_sequence
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -305,20 +306,7 @@ def simulate_fleet(
             f"but no profile was built for it; have: {sorted(profiles)}"
         )
 
-    # Rebuild a passed-in SeedSequence from its identity rather than
-    # spawning from the caller's object: spawn() mutates the parent's
-    # child counter, so sharing one sequence across several scenarios
-    # (the common-random-numbers brackets) would make the sampled
-    # budgets depend on execution order and on whether tasks ran
-    # in-process or in pickled workers. Reconstruction pins the budget
-    # draw to the sequence's (entropy, spawn_key) alone.
-    sequence = (
-        np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=seed.spawn_key
-        )
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
+    sequence = seed_sequence(seed)
     budgets = [None] * config.num_devices
     if config.mean_budget is not None:
         children = sequence.spawn(config.num_devices)

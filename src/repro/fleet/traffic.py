@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.accuracy.slo import EXACT_SLO, SLOClass
 from repro.errors import ConfigurationError
+from repro.runtime import seed_sequence
 
 Seed = Union[int, np.random.SeedSequence]
 
@@ -226,12 +227,6 @@ def _mix_traffic(arrivals: np.ndarray, picks: np.ndarray, mix: WorkloadMix) -> T
     )
 
 
-def _as_seed_sequence(seed: Seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _check_shape(num_requests: int, rate_rps: float) -> None:
     if num_requests < 1:
         raise ConfigurationError(
@@ -249,7 +244,7 @@ def poisson_requests(
 ) -> Traffic:
     """Poisson arrivals at ``rate_rps`` with i.i.d. workload draws."""
     _check_shape(num_requests, rate_rps)
-    rng = np.random.default_rng(_as_seed_sequence(seed))
+    rng = np.random.default_rng(seed_sequence(seed))
     gaps = rng.exponential(1.0 / rate_rps, size=num_requests)
     arrivals = np.cumsum(gaps)
     picks = rng.choice(len(mix.entries), size=num_requests, p=mix.probabilities)
@@ -285,7 +280,7 @@ def bursty_requests(
         raise ConfigurationError(f"burst_mean must be >= 1, got {burst_mean}")
     if burstiness < 1:
         raise ConfigurationError(f"burstiness must be >= 1, got {burstiness}")
-    rng = np.random.default_rng(_as_seed_sequence(seed))
+    rng = np.random.default_rng(seed_sequence(seed))
     # Each burst's workload is ``rng.choice(len(names), p=probabilities)``
     # done by hand: numpy draws one ``rng.random()`` and searches this
     # normalized CDF, so the stream is the same, minus re-validating

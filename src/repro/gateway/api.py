@@ -24,7 +24,6 @@ exception type and message only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -37,7 +36,7 @@ from repro.experiments.registry import (
     get_spec,
     package_version,
 )
-from repro.experiments.result import to_jsonable
+from repro.experiments.result import encode_json, to_jsonable
 from repro.gateway.jobs import (
     GatewayJobManager,
     JobState,
@@ -58,12 +57,14 @@ class ApiResponse:
     headers: Tuple[Tuple[str, str], ...] = field(default=())
 
     def body(self) -> bytes:
-        """Sorted compact JSON (C encoder); a 304 has no body (RFC 9110)."""
+        """Sorted compact JSON; a 304 has no body (RFC 9110).
+
+        A finished job's result and manifest are already wire JSON,
+        encoded once in the pool worker; they are spliced in unchanged.
+        """
         if self.status == 304:
             return b""
-        return json.dumps(
-            self.payload, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        return encode_json(self.payload)
 
 
 def _error(

@@ -121,7 +121,9 @@ class Job:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     error: Optional[Dict[str, str]] = None
-    payload: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: ``"result"`` and ``"manifest"`` as wire JSON, encoded once in the
+    #: worker that ran the job (``None`` until it is done).
+    payload: Optional[Dict[str, bytes]] = field(default=None, repr=False)
     #: Bumped on every observable mutation; the basis of the detail
     #: endpoint's ``ETag`` (pollers sending ``If-None-Match`` get 304).
     version: int = 1
@@ -161,7 +163,12 @@ class Job:
         }
 
     def detail(self) -> Dict[str, Any]:
-        """JSON-ready full view, including result and manifest when done."""
+        """Full view, including result and manifest when done.
+
+        The result and manifest stay encoded:
+        :func:`~repro.experiments.result.encode_json` splices them into
+        the response body as they are.
+        """
         body = self.summary()
         body["result"] = None if self.payload is None else self.payload["result"]
         body["manifest"] = (

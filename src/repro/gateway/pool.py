@@ -22,8 +22,11 @@ and provides the resilience guarantees the serving front door needs:
   tasks, re-used for serving).
 
 Workers execute through the same ``run_experiment`` entrypoint as the
-CLI, behind a warm-hit result cache, so a gateway response is
-byte-identical to ``rota <exp> --json`` (modulo manifest timings).
+CLI, behind a warm-hit result cache, so a gateway response carries the
+same payload as ``rota <exp> --json`` (modulo manifest timings). Each
+worker encodes a result to its wire JSON once; the bytes cross the
+event queue, fill the warm-hit store and reach the response body as
+they are.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ def _worker_main(
     """One worker process: import, announce ready, execute until sentinel."""
     os.environ[_JOBS_ENV] = "1"
     # Pay the import bill up front, before claiming to be ready.
+    from repro.dataflow.scheduler import save_schedule_cache
     from repro.experiments.registry import run_experiment  # noqa: F401
     from repro.runtime import ResultCache, result_cache
     from repro.runtime.observe import collect_metrics
@@ -97,45 +101,51 @@ def _worker_main(
         try:
             with collect_metrics() as observed:
                 payload, cached = _run_or_reuse(cache, key, spec_id, params)
-            event_queue.put(
-                (
-                    "done",
-                    worker_id,
-                    task_id,
-                    payload,
-                    cached,
-                    _observed_summary(observed),
-                )
+            event: Tuple[Any, ...] = (
+                "done",
+                worker_id,
+                task_id,
+                payload,
+                cached,
+                _observed_summary(observed),
             )
         except ReproError as error:
-            event_queue.put(
-                ("failed", worker_id, task_id, "repro-error", str(error))
-            )
+            event = ("failed", worker_id, task_id, "repro-error", str(error))
         except Exception as error:  # noqa: BLE001 - worker must survive jobs
-            event_queue.put(
-                (
-                    "failed",
-                    worker_id,
-                    task_id,
-                    "internal-error",
-                    f"{type(error).__name__}: {error}",
-                )
+            event = (
+                "failed",
+                worker_id,
+                task_id,
+                "internal-error",
+                f"{type(error).__name__}: {error}",
             )
+        # A worker leaves through os._exit (fork) or terminate(), neither
+        # of which runs the atexit flush: save this task's mapping
+        # searches before reporting it finished.
+        save_schedule_cache()
+        event_queue.put(event)
 
 
 def _run_or_reuse(
     cache: Any, key: str, spec_id: str, params: Dict[str, Any]
 ) -> Tuple[Dict[str, Any], bool]:
-    """Serve from the shared warm-hit store or execute for real."""
+    """Serve from the shared warm-hit store or execute for real.
+
+    The payload holds the result and the manifest as wire JSON, encoded
+    here once; the ``done`` event, the warm-hit store and the response
+    body all carry those bytes unchanged. Warm-hit keys include
+    ``CACHE_SCHEMA_VERSION``, so no entry of the older dict shape is hit.
+    """
     from repro.experiments.registry import run_experiment
+    from repro.experiments.result import encode_json
 
     hit = cache.get(key)
     if isinstance(hit, dict) and "result" in hit and "manifest" in hit:
         return hit, True
     run = run_experiment(spec_id, **params)
     payload = {
-        "result": run.result.to_dict(),
-        "manifest": run.manifest.to_dict(),
+        "result": encode_json(run.result),
+        "manifest": encode_json(run.manifest),
     }
     cache.put(key, payload)
     return payload, False
@@ -152,13 +162,14 @@ class PoolEvent:
 
     ``kind`` is ``"started"``, ``"done"``, ``"failed"``, ``"crash"``,
     ``"timeout"``, ``"retry"``, or ``"cancelled"``. For ``done``,
-    ``payload``/``cached``/``observed`` are set; for failures, ``code``
-    and ``message``.
+    ``payload``/``cached``/``observed`` are set (``payload`` maps
+    ``"result"`` and ``"manifest"`` to their encoded JSON); for failures,
+    ``code`` and ``message``.
     """
 
     kind: str
     task_id: str
-    payload: Optional[Dict[str, Any]] = None
+    payload: Optional[Dict[str, bytes]] = None
     cached: bool = False
     observed: Optional[Dict[str, int]] = None
     code: Optional[str] = None

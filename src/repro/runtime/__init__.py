@@ -23,6 +23,7 @@ from repro.runtime.fingerprint import (
     CACHE_SCHEMA_VERSION,
     accelerator_fingerprint,
     content_hash,
+    seed_sequence,
 )
 from repro.runtime.parallel import (
     JOBS_ENV,
@@ -51,4 +52,5 @@ __all__ = [
     "resolve_jobs",
     "result_cache",
     "run_parallel",
+    "seed_sequence",
 ]

@@ -21,7 +21,7 @@ import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Union
 
 import numpy as np
 
@@ -34,7 +34,9 @@ from repro.runtime.memo import Memo
 #: 3: RunManifest grew resilience counters and per-task retry flags.
 #: 4: RunResult.trace became a columnar Trace instead of a tuple of
 #: TracePoints.
-CACHE_SCHEMA_VERSION = 4
+#: 5: gateway warm-hit entries hold the result and manifest as encoded
+#: JSON bytes instead of dicts.
+CACHE_SCHEMA_VERSION = 5
 
 
 def _tokenize(value: Any) -> Any:
@@ -123,3 +125,17 @@ def accelerator_fingerprint(accelerator) -> str:
         accelerator,
         lambda: content_hash("accelerator", accelerator_to_dict(accelerator)),
     )
+
+
+def seed_sequence(seed: Union[int, np.random.SeedSequence]) -> np.random.SeedSequence:
+    """A fresh :class:`numpy.random.SeedSequence` from a seed's identity.
+
+    A passed-in sequence is rebuilt from its ``(entropy, spawn_key)``
+    rather than used as is: ``spawn()`` advances the caller's child
+    counter, so spawning from the caller's object would make a second
+    call with the same object (the common-random-numbers brackets share
+    one) draw different children, and make results depend on call order.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
+    return np.random.SeedSequence(seed)

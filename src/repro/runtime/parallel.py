@@ -140,13 +140,15 @@ def _timed_call(
     fn, item, label, attempt = payload
     chaos.maybe_inject(label, attempt)
     start = time.perf_counter()
-    result = fn(item)
     # Pool workers exit via os._exit, which skips the atexit hook that
-    # normally flushes the schedule disk cache — flush after each task
-    # instead (merge-on-save makes concurrent flushes safe).
+    # normally flushes the schedule disk cache — flush after each task,
+    # failed ones too (merge-on-save makes concurrent flushes safe).
     from repro.dataflow.scheduler import save_schedule_cache
 
-    save_schedule_cache()
+    try:
+        result = fn(item)
+    finally:
+        save_schedule_cache()
     return result, time.perf_counter() - start
 
 

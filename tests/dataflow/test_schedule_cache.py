@@ -1,6 +1,7 @@
 """Tests for the scheduler's in-memory and on-disk caches."""
 
 import json
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ def isolated_cache(tmp_path, monkeypatch):
     original_disk = scheduler_module._DISK_CACHE
     original_dirty = scheduler_module._DISK_CACHE_DIRTY
     scheduler_module._DISK_CACHE = None
-    scheduler_module._DISK_CACHE_DIRTY = False
+    scheduler_module._DISK_CACHE_DIRTY = {}
     clear_schedule_cache()
     yield tmp_path
     scheduler_module._DISK_CACHE = original_disk
@@ -83,6 +84,50 @@ class TestDiskCache:
         scheduler.schedule_layer(small_layer())
         save_schedule_cache()
         assert not (isolated_cache / "schedules.json").exists()
+
+
+def _schedule(layer):
+    """Pool task: search one layer (module-level, so it pickles)."""
+    return Scheduler(eyeriss_v1()).schedule_layer(layer).num_tiles
+
+
+class TestPoolWorkersSaveSearches:
+    """Pool workers exit through ``os._exit``, which skips the ``atexit``
+    flush, so each task saves the schedules it searched."""
+
+    def test_parallel_runner_worker(self, isolated_cache):
+        from repro.runtime import ParallelRunner
+
+        layers = [small_layer(), LayerShape.conv("wider", 16, 8, (6, 6), (3, 3))]
+        ParallelRunner(jobs=2).map(_schedule, layers)
+        entries = json.loads((isolated_cache / "schedules.json").read_text())
+        assert len(entries) == 2
+
+    def test_fork_gateway_worker(self, isolated_cache, monkeypatch):
+        from repro.experiments import common
+        from repro.gateway import GatewayJobManager
+        from repro.runtime import Memo
+
+        # A forked worker inherits this process's memos: start it with no
+        # network execution planned, so the run has to search.
+        monkeypatch.setattr(common, "_EXECUTIONS", Memo())
+        manager = GatewayJobManager(
+            workers=1,
+            cache_dir=str(isolated_cache / "results"),
+            cache_enabled=False,
+            start_method="fork",
+        )
+        manager.start()
+        try:
+            job = manager.submit("walkthrough", {"network": "AlexNet"})
+            deadline = time.monotonic() + 120
+            while not job.done and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert job.state == "done", job.error
+        finally:
+            manager.shutdown()
+        entries = json.loads((isolated_cache / "schedules.json").read_text())
+        assert len(entries) == 8  # AlexNet's distinct layer shapes
 
 
 class TestInMemoryCache:

@@ -23,7 +23,7 @@ from repro.experiments.registry import (
     run_experiment,
     spec_ids,
 )
-from repro.experiments.result import ExperimentResult, to_jsonable
+from repro.experiments.result import ExperimentResult, encode_json, to_jsonable
 
 #: Cheap parameter overrides so result-contract tests stay fast. Every
 #: registered experiment appears here or runs fast at its defaults.
@@ -170,6 +170,14 @@ class TestResultContract:
         assert payload["result"] == type(run.result).__name__
         encoded = json.dumps(payload)
         assert json.loads(encoded) == payload
+        # The wire encoder gives the same bytes as the dict path.
+        for value, plain in (
+            (run.result, payload),
+            (run.manifest, run.manifest.to_dict()),
+        ):
+            assert encode_json(value) == json.dumps(
+                plain, sort_keys=True, separators=(",", ":")
+            ).encode()
 
     def test_unknown_parameter_rejected_before_driver_import(self):
         with pytest.raises(ConfigurationError, match="does not accept"):
@@ -204,6 +212,38 @@ class TestRunManifest:
         }
         assert not any(manifest.resilience_counts.values())
         assert manifest.accelerator != ""
+
+    def test_package_version_is_read_once_per_process(
+        self, monkeypatch, tmp_path
+    ):
+        import importlib.metadata
+
+        from repro.gateway import GatewayJobManager
+
+        lookups = []
+        real_version = importlib.metadata.version
+
+        def counting_version(name):
+            lookups.append(name)
+            return real_version(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", counting_version)
+        package_version.cache_clear()
+        try:
+            for _ in range(3):
+                run_experiment("unfold")
+            # The workers never start: submits only compute content keys.
+            manager = GatewayJobManager(
+                workers=1, cache_dir=str(tmp_path), start_method="fork"
+            )
+            try:
+                for x in (2, 3, 4):
+                    manager.submit("unfold", {"x": x})
+            finally:
+                manager.shutdown()
+        finally:
+            package_version.cache_clear()
+        assert lookups == ["repro"]
 
     def test_manifest_is_json_safe(self):
         run = run_experiment("unfold")

@@ -218,9 +218,10 @@ class TestRunEndpoints:
         wait_state(api.manager, job_id)
         response = api.handle("GET", f"/v1/runs/{job_id}", None)
         assert response.status == 200
-        assert response.payload["state"] == "done"
-        assert response.payload["result"]["result"] == "Fig4Result"
-        assert response.payload["manifest"]["spec_id"] == "unfold"
+        body = json.loads(response.body())
+        assert body["state"] == "done"
+        assert body["result"]["result"] == "Fig4Result"
+        assert body["manifest"]["spec_id"] == "unfold"
 
     def test_failed_run_carries_structured_error(self, api):
         submitted = api.handle(

@@ -1,6 +1,7 @@
 """Job-manager behaviour on the gateway's ``fork`` worker processes:
 intake, warm hits, failures, shutdown, and argument validation."""
 
+import json
 import time
 
 import pytest
@@ -50,8 +51,8 @@ class TestSubmit:
         wait_done(job)
         assert job.state == JobState.DONE
         assert job.error is None
-        assert job.payload["result"]["result"] == "Fig4Result"
-        assert job.payload["manifest"]["result"] == "RunManifest"
+        assert json.loads(job.payload["result"])["result"] == "Fig4Result"
+        assert json.loads(job.payload["manifest"])["result"] == "RunManifest"
         assert job.started_at is not None and job.finished_at is not None
 
     def test_unknown_experiment_rejected_before_enqueue(self, manager):
@@ -103,7 +104,7 @@ class TestWarmHits:
     def test_cached_payload_matches_cli_json(self, manager):
         job = wait_done(manager.submit("unfold", {"x": 6, "y": 2}))
         direct = run_experiment("unfold", x=6, y=2).result.to_dict()
-        assert job.payload["result"] == direct
+        assert json.loads(job.payload["result"]) == direct
 
 
 class TestFailures:
